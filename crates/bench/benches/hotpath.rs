@@ -1,15 +1,19 @@
 //! Simulator hot-path throughput: the tracked perf trajectory.
 //!
 //! Not a criterion bench — this is a plain binary (`harness = false`)
-//! that drives the serving engine's three hot paths at realistic scale,
-//! measures wall-clock throughput, and writes one line-oriented JSON
-//! record per shape to `BENCH_hotpath.json` at the repo root (schema
-//! `dfx-hotpath-v1`, one JSON object per line):
+//! that drives the serving engine's three hot paths and the cold cycle
+//! model at realistic scale, measures wall-clock throughput, and writes
+//! one line-oriented JSON record per shape to `BENCH_hotpath.json` at the
+//! repo root (schema `dfx-hotpath-v1`, one JSON object per line):
 //!
 //! ```json
 //! {"schema":"dfx-hotpath-v1"}
 //! {"shape":"static-fifo","requests":100000,"wall_ms":...,"requests_per_sec":...,"events":...,"events_per_sec":...}
+//! {"shape":"cycle-model-cold","instrs":...,"wall_ms":...,"instrs_per_sec":...,"steps":...,"steps_per_sec":...}
 //! ```
+//!
+//! Each record carries two exact counts and their rates; the first one
+//! (`requests`, or `instrs` for the cycle model) is the gated rate.
 //!
 //! Shapes:
 //!
@@ -22,6 +26,12 @@
 //!   snapshotting all replicas through incremental checkpoints (the
 //!   sweep the old full-replay router could not finish in reasonable
 //!   time).
+//! - `cycle-model-cold` — the core layer alone: a fresh `TimingCore` on
+//!   GPT-2 1.5B over 4 FPGAs times one generation step
+//!   (`time_step_batched`) at every 8th position of the context, at
+//!   batch 1 and batch 8. Programs are built outside the timed region,
+//!   so `instrs_per_sec` is the cycle model's own walk rate and `instrs`
+//!   is the exact instruction count it walked.
 //!
 //! `events` counts engine dispatches (batch launches on the static
 //! path; admissions + token steps on the continuous path), so
@@ -42,36 +52,68 @@
 //! (60% of batch-1 capacity), so queues stay short and the measured
 //! cost is the event loop, not backlog scanning; the simulated numbers
 //! are deterministic — only the wall-clock columns vary across machines,
-//! which is why the regression gate is a loose 2x.
+//! which is why the regression gate is a loose 2x. Every shape runs
+//! [`SAMPLES`] times and records the median wall time, so one slow
+//! sample cannot trip the gate.
 
+use dfx_core::{CoreParams, TimingCore};
+use dfx_isa::{ParallelConfig, ProgramBuilder};
 use dfx_model::{GptConfig, Workload};
 use dfx_serve::{
     ArrivalProcess, Backend, ClusterRouter, ContinuousBatching, Fifo, LeastKvLoaded, ServingEngine,
 };
 use dfx_sim::Appliance;
 
+/// Samples per shape; the record and the gate use their median.
+const SAMPLES: usize = 5;
+
 /// One measured shape, serialized as a single JSON line.
 struct Entry {
     shape: &'static str,
-    requests: usize,
+    /// Two exact work counts, `(name, count)`. The first one's rate is
+    /// the gated throughput.
+    work: [(&'static str, usize); 2],
     wall_ms: f64,
-    events: usize,
 }
 
 impl Entry {
+    fn rate(&self, count: usize) -> f64 {
+        count as f64 / (self.wall_ms / 1e3).max(f64::MIN_POSITIVE)
+    }
+
     fn to_json(&self) -> String {
-        let wall_s = (self.wall_ms / 1e3).max(f64::MIN_POSITIVE);
+        let [(gated, n), (other, m)] = self.work;
         format!(
-            "{{\"shape\":\"{}\",\"requests\":{},\"wall_ms\":{:.1},\"requests_per_sec\":{:.1},\
-             \"events\":{},\"events_per_sec\":{:.1}}}",
+            "{{\"shape\":\"{}\",\"{gated}\":{n},\"wall_ms\":{:.1},\"{gated}_per_sec\":{:.1},\
+             \"{other}\":{m},\"{other}_per_sec\":{:.1}}}",
             self.shape,
-            self.requests,
             self.wall_ms,
-            self.requests as f64 / wall_s,
-            self.events,
-            self.events as f64 / wall_s,
+            self.rate(n),
+            self.rate(m),
         )
     }
+}
+
+/// Runs a shape [`SAMPLES`] times and keeps the median wall time. The
+/// work counts are deterministic, so every sample must agree on them.
+fn median_of(run: impl Fn() -> Entry) -> Entry {
+    let mut samples: Vec<Entry> = (0..SAMPLES).map(|_| run()).collect();
+    assert!(
+        samples.iter().all(|e| e.work == samples[0].work),
+        "{}: work counts differ across samples",
+        samples[0].shape
+    );
+    samples.sort_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
+    let walls: Vec<String> = samples
+        .iter()
+        .map(|e| format!("{:.1}", e.wall_ms))
+        .collect();
+    eprintln!(
+        "[hotpath] {} wall_ms samples: {}",
+        samples[0].shape,
+        walls.join(" ")
+    );
+    samples.swap_remove(SAMPLES / 2)
 }
 
 /// The benchmark's model: small enough that a 10⁵-request sweep is a
@@ -112,9 +154,8 @@ fn run_static(n: usize) -> Entry {
         .expect("static sweep runs");
     Entry {
         shape: "static-fifo",
-        requests: n,
+        work: [("requests", n), ("events", report.dispatches)],
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        events: report.dispatches,
     }
 }
 
@@ -133,9 +174,8 @@ fn run_continuous(n: usize) -> Entry {
         .expect("continuous sweep runs");
     Entry {
         shape: "continuous-batching",
-        requests: n,
+        work: [("requests", n), ("events", report.dispatches)],
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        events: report.dispatches,
     }
 }
 
@@ -164,15 +204,40 @@ fn run_cluster(n: usize) -> Entry {
         .sum();
     Entry {
         shape: "cluster-least-kv",
-        requests: n,
+        work: [("requests", n), ("events", events)],
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        events,
     }
 }
 
-/// Pulls `"requests_per_sec":<f64>` out of one baseline JSON line.
-fn parse_rps(line: &str) -> Option<f64> {
-    let rest = line.split("\"requests_per_sec\":").nth(1)?;
+fn run_cycle_model() -> Entry {
+    let cfg = GptConfig::gpt2_1_5b();
+    let builder =
+        ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, 4)).expect("partitionable");
+    let core = TimingCore::new(CoreParams::default(), 4);
+    let (mut steps, mut instrs) = (0, 0);
+    let mut wall = std::time::Duration::ZERO;
+    for pos in (0..cfg.max_seq_len).step_by(8) {
+        let program = builder.token_step(pos, true);
+        for batch in [1, 8] {
+            // lint: allow(ambient-time, wall-clock throughput is this bench's measurement, not a simulated quantity)
+            let start = std::time::Instant::now();
+            let t =
+                std::hint::black_box(core.time_step_batched(std::hint::black_box(&program), batch));
+            wall += start.elapsed();
+            steps += 1;
+            instrs += t.instructions;
+        }
+    }
+    Entry {
+        shape: "cycle-model-cold",
+        work: [("instrs", instrs), ("steps", steps)],
+        wall_ms: wall.as_secs_f64() * 1e3,
+    }
+}
+
+/// Pulls `"<key>":<f64>` out of one baseline JSON line.
+fn parse_field(line: &str, key: &str) -> Option<f64> {
+    let rest = line.split(&format!("\"{key}\":")).nth(1)?;
     let end = rest.find([',', '}'])?;
     rest[..end].trim().parse().ok()
 }
@@ -198,9 +263,10 @@ fn main() {
     }
 
     let entries = [
-        run_static(100_000),
-        run_continuous(50_000),
-        run_cluster(100_000),
+        median_of(|| run_static(100_000)),
+        median_of(|| run_continuous(50_000)),
+        median_of(|| run_cluster(100_000)),
+        median_of(run_cycle_model),
     ];
     let mut doc = String::from("{\"schema\":\"dfx-hotpath-v1\"}\n");
     for e in &entries {
@@ -214,24 +280,37 @@ fn main() {
         let baseline = std::fs::read_to_string(default_path).expect("committed baseline exists");
         let mut regressed = false;
         for e in &entries {
-            let Some(base_rps) = baseline
-                .lines()
-                .find(|l| parse_shape(l) == Some(e.shape))
-                .and_then(parse_rps)
-            else {
+            let Some(base) = baseline.lines().find(|l| parse_shape(l) == Some(e.shape)) else {
                 eprintln!("[hotpath] no baseline entry for {} — skipping", e.shape);
                 continue;
             };
-            let rps = e.requests as f64 / (e.wall_ms / 1e3).max(f64::MIN_POSITIVE);
-            if rps * 2.0 < base_rps {
+            // The work counts are machine-independent, so they gate
+            // exactly: any change means the shape no longer does the
+            // work its baseline measured.
+            for (name, count) in e.work {
+                let base_count = parse_field(base, name);
+                if base_count != Some(count as f64) {
+                    eprintln!(
+                        "[hotpath] WORK CHANGED: {} did {count} {name}, baseline {base_count:?} \
+                         (re-baseline if intended)",
+                        e.shape
+                    );
+                    regressed = true;
+                }
+            }
+            let (gated, count) = e.work[0];
+            let base_rate = parse_field(base, &format!("{gated}_per_sec"))
+                .expect("a baseline line carries its gated rate");
+            let rate = e.rate(count);
+            if rate * 2.0 < base_rate {
                 eprintln!(
-                    "[hotpath] REGRESSION: {} at {rps:.1} req/s, baseline {base_rps:.1} (>2x slower)",
+                    "[hotpath] REGRESSION: {} at {rate:.1} {gated}/s, baseline {base_rate:.1} (>2x slower)",
                     e.shape
                 );
                 regressed = true;
             } else {
                 eprintln!(
-                    "[hotpath] {} ok: {rps:.1} req/s vs baseline {base_rps:.1}",
+                    "[hotpath] {} ok: {rate:.1} {gated}/s vs baseline {base_rate:.1}",
                     e.shape
                 );
             }

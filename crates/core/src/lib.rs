@@ -40,6 +40,8 @@ mod weights;
 
 pub use exec::{CoreEvent, FunctionalCore};
 pub use params::CoreParams;
-pub use scoreboard::{instr_reads, instr_writes, RegId, Scoreboard, NUM_SREGS, NUM_VREGS};
+pub use scoreboard::{
+    instr_reads, instr_writes, visit_reads, visit_writes, RegId, Scoreboard, NUM_SREGS, NUM_VREGS,
+};
 pub use timing::{StepTiming, TimingCore, Unit};
 pub use weights::{CoreLayerWeights, CoreWeights, HeadKv, KvStore};

@@ -8,7 +8,7 @@
 //! hazard it guards against is real (failure injection).
 
 use dfx_hw::Cycles;
-use dfx_isa::{Instr, ReduceMax, RouterOp, SReg, VReg};
+use dfx_isa::{DmaDir, Instr, ReduceMax, RouterInstr, RouterOp, SReg, VReg};
 
 /// A register identifier across both files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,84 +31,90 @@ impl From<SReg> for RegId {
     }
 }
 
-/// Registers an instruction reads.
-pub fn instr_reads(instr: &Instr) -> Vec<RegId> {
+/// Calls `f` on every register `instr` reads, without allocating.
+pub fn visit_reads(instr: &Instr, mut f: impl FnMut(RegId)) {
     match instr {
-        Instr::Matrix(m) => vec![m.src.reg.into()],
+        Instr::Matrix(m) => f(m.src.reg.into()),
         Instr::Vector(v) => {
-            let mut r: Vec<RegId> = vec![v.a.into()];
+            f(v.a.into());
             if let Some(b) = v.b {
-                r.push(b.into());
+                f(b.into());
             }
             if let Some(s) = v.s {
-                r.push(s.into());
+                f(s.into());
             }
-            r
         }
-        Instr::Reduce(r) => vec![r.v.into()],
+        Instr::Reduce(r) => f(r.v.into()),
         Instr::Scalar(s) => {
-            let mut r: Vec<RegId> = vec![s.a.into()];
+            f(s.a.into());
             if let Some(b) = s.b {
-                r.push(b.into());
+                f(b.into());
             }
-            r
         }
-        Instr::Dma(d) => match (d.dir, d.reg) {
-            (dfx_isa::DmaDir::Store, Some(slice)) => vec![slice.reg.into()],
-            _ => Vec::new(),
-        },
-        Instr::Router(r) => match r.op {
-            RouterOp::AllGather => vec![r.src.reg.into()],
-            RouterOp::AllReduceArgMax => {
-                let mut v = Vec::new();
-                if let Some(i) = r.idx {
-                    v.push(i.into());
-                }
-                if let Some(m) = r.max {
-                    v.push(m.into());
-                }
-                v
+        Instr::Dma(d) => {
+            if let (DmaDir::Store, Some(slice)) = (d.dir, d.reg) {
+                f(slice.reg.into());
             }
+        }
+        Instr::Router(r) => match r.op {
+            RouterOp::AllGather => f(r.src.reg.into()),
+            RouterOp::AllReduceArgMax => visit_argmax_pair(r, f),
         },
     }
 }
 
-/// Registers an instruction writes.
-pub fn instr_writes(instr: &Instr) -> Vec<RegId> {
+/// Calls `f` on every register `instr` writes, without allocating.
+pub fn visit_writes(instr: &Instr, mut f: impl FnMut(RegId)) {
     match instr {
         Instr::Matrix(m) => {
-            let mut w: Vec<RegId> = vec![m.dst.reg.into()];
+            f(m.dst.reg.into());
             match m.reduce_max {
                 ReduceMax::None => {}
-                ReduceMax::Max(s) => w.push(s.into()),
+                ReduceMax::Max(s) => f(s.into()),
                 ReduceMax::ArgMax { idx, max } => {
-                    w.push(idx.into());
-                    w.push(max.into());
+                    f(idx.into());
+                    f(max.into());
                 }
             }
-            w
         }
-        Instr::Vector(v) => vec![v.dst.into()],
-        Instr::Reduce(r) => vec![r.dst.into()],
-        Instr::Scalar(s) => vec![s.dst.into()],
-        Instr::Dma(d) => match (d.dir, d.reg) {
-            (dfx_isa::DmaDir::Load, Some(slice)) => vec![slice.reg.into()],
-            _ => Vec::new(),
-        },
-        Instr::Router(r) => match r.op {
-            RouterOp::AllGather => vec![r.dst.reg.into()],
-            RouterOp::AllReduceArgMax => {
-                let mut v = Vec::new();
-                if let Some(i) = r.idx {
-                    v.push(i.into());
-                }
-                if let Some(m) = r.max {
-                    v.push(m.into());
-                }
-                v
+        Instr::Vector(v) => f(v.dst.into()),
+        Instr::Reduce(r) => f(r.dst.into()),
+        Instr::Scalar(s) => f(s.dst.into()),
+        Instr::Dma(d) => {
+            if let (DmaDir::Load, Some(slice)) = (d.dir, d.reg) {
+                f(slice.reg.into());
             }
+        }
+        Instr::Router(r) => match r.op {
+            RouterOp::AllGather => f(r.dst.reg.into()),
+            RouterOp::AllReduceArgMax => visit_argmax_pair(r, f),
         },
     }
+}
+
+/// The `(argmax, max)` scalar pair an all-reduce argmax both reads and
+/// writes in place.
+fn visit_argmax_pair(r: &RouterInstr, mut f: impl FnMut(RegId)) {
+    if let Some(i) = r.idx {
+        f(i.into());
+    }
+    if let Some(m) = r.max {
+        f(m.into());
+    }
+}
+
+/// Registers an instruction reads (collected from [`visit_reads`]).
+pub fn instr_reads(instr: &Instr) -> Vec<RegId> {
+    let mut regs = Vec::new();
+    visit_reads(instr, |r| regs.push(r));
+    regs
+}
+
+/// Registers an instruction writes (collected from [`visit_writes`]).
+pub fn instr_writes(instr: &Instr) -> Vec<RegId> {
+    let mut regs = Vec::new();
+    visit_writes(instr, |w| regs.push(w));
+    regs
 }
 
 /// Number of architectural vector registers.
@@ -169,23 +175,17 @@ impl Scoreboard {
             return Cycles::ZERO;
         }
         let mut t = Cycles::ZERO;
-        for r in instr_reads(instr) {
-            t = t.max(self.ready_of(r));
-        }
-        for w in instr_writes(instr) {
-            t = t.max(self.ready_of(w));
-        }
+        visit_reads(instr, |r| t = t.max(self.ready_of(r)));
+        visit_writes(instr, |w| t = t.max(self.ready_of(w)));
         t
     }
 
     /// Marks `instr`'s destinations ready at `finish`.
     pub fn commit(&mut self, instr: &Instr, finish: Cycles) {
-        for w in instr_writes(instr) {
-            match w {
-                RegId::V(i) => self.vreg_ready[i as usize] = finish,
-                RegId::S(i) => self.sreg_ready[i as usize] = finish,
-            }
-        }
+        visit_writes(instr, |w| match w {
+            RegId::V(i) => self.vreg_ready[i as usize] = finish,
+            RegId::S(i) => self.sreg_ready[i as usize] = finish,
+        });
     }
 }
 

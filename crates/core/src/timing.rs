@@ -16,7 +16,8 @@ use crate::params::CoreParams;
 use crate::scoreboard::Scoreboard;
 use dfx_hw::{Cycles, DmaModel, RingModel};
 use dfx_isa::{
-    DmaDir, Instr, OpClass, Program, ReduceKind, RouterOp, ScalarOpKind, TensorRef, VectorOpKind,
+    DmaDir, Instr, KvKind, OpClass, Program, ReduceKind, RouterOp, ScalarOpKind, TensorRef,
+    VectorOpKind,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -38,6 +39,35 @@ impl Unit {
     /// All units.
     pub const ALL: [Unit; 4] = [Unit::Dma, Unit::Mpu, Unit::Vpu, Unit::Router];
 }
+
+/// Length of the walk's dense per-unit arrays.
+const UNITS: usize = Unit::ALL.len();
+/// Length of the walk's dense per-class arrays.
+const CLASSES: usize = OpClass::ALL.len();
+
+// The walk indexes its per-unit and per-class arrays, of length
+// `ALL.len()`, by discriminant (`unit as usize`, `class as usize`). Pin
+// at compile time that each `ALL` list is exactly the discriminants
+// `0..len` in order: a variant listed out of order fails the build here,
+// and the maps built from the arrays keep `ALL`'s (= `Ord`'s) order.
+const _: () = {
+    let mut i = 0;
+    while i < UNITS {
+        assert!(
+            Unit::ALL[i] as usize == i,
+            "Unit::ALL must list every unit in order"
+        );
+        i += 1;
+    }
+    let mut i = 0;
+    while i < CLASSES {
+        assert!(
+            OpClass::ALL[i] as usize == i,
+            "OpClass::ALL must list every class in order"
+        );
+        i += 1;
+    }
+};
 
 /// Timing cost of one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -212,14 +242,17 @@ impl TimingCore {
         } else {
             Scoreboard::disabled()
         };
-        let mut unit_free: BTreeMap<Unit, Cycles> = BTreeMap::new();
-        let mut unit_busy: BTreeMap<Unit, Cycles> = BTreeMap::new();
-        let mut by_class: BTreeMap<OpClass, Cycles> = BTreeMap::new();
+        // Dense per-unit and per-class state. `None` marks a key the step
+        // never touched, so the result maps hold exactly the units and
+        // classes that issued (a zero contribution still shows).
+        let mut unit_free = [Cycles::ZERO; UNITS];
+        let mut unit_busy: [Option<Cycles>; UNITS] = [None; UNITS];
+        let mut by_class: [Option<Cycles>; CLASSES] = [None; CLASSES];
         // K/V regions written this step (this token's appended rows) are
         // not readable by the matrix stream until the DMA store — and for
         // Values, the transpose unit — completes. This is the dependency
         // the paper's Value-first instruction order exists to hide (§V-B).
-        let mut kv_ready: BTreeMap<TensorRef, Cycles> = BTreeMap::new();
+        let mut kv_ready = KvReady::for_program(program);
         let mut issue_cursor = Cycles::ZERO;
         let mut makespan = Cycles::ZERO;
 
@@ -227,12 +260,10 @@ impl TimingCore {
             let cost = self.batched_instr_cost(&ai.instr, batch);
             let mut ready = sb.ready_time(&ai.instr);
             if let Instr::Matrix(m) = &ai.instr {
-                if let Some(&region) = kv_ready.get(&m.weight) {
-                    ready = ready.max(region);
-                }
+                ready = ready.max(kv_ready.get(m.weight));
             }
-            let free = unit_free.get(&cost.unit).copied().unwrap_or(Cycles::ZERO);
-            let issue = ready.max(free).max(issue_cursor);
+            let unit = cost.unit as usize;
+            let issue = ready.max(unit_free[unit]).max(issue_cursor);
             // Instruction chaining (§IV-C): the unit frees after the
             // occupancy (streaming/processing) period; the *result*
             // becomes architecturally visible a pipeline latency later.
@@ -241,24 +272,22 @@ impl TimingCore {
             let finish = unit_done + cost.latency;
 
             sb.commit(&ai.instr, finish);
-            if let Instr::Dma(d) = &ai.instr {
-                if let (DmaDir::Store, TensorRef::Kv { .. }) = (d.dir, d.tensor) {
-                    kv_ready.insert(d.tensor, finish);
-                }
+            if let Some(region) = stored_kv(&ai.instr) {
+                kv_ready.set(region, finish);
             }
-            unit_free.insert(cost.unit, unit_done);
-            *unit_busy.entry(cost.unit).or_insert(Cycles::ZERO) += cost.occupancy;
+            unit_free[unit] = unit_done;
+            *unit_busy[unit].get_or_insert(Cycles::ZERO) += cost.occupancy;
             issue_cursor = issue + Cycles(u64::from(self.params.issue_interval));
 
             let contribution = finish.saturating_sub(makespan);
-            *by_class.entry(ai.class).or_insert(Cycles::ZERO) += contribution;
+            *by_class[ai.class as usize].get_or_insert(Cycles::ZERO) += contribution;
             makespan = makespan.max(finish);
         }
 
         StepTiming {
             total: makespan,
-            by_class,
-            unit_busy,
+            by_class: touched(OpClass::ALL, by_class),
+            unit_busy: touched(Unit::ALL, unit_busy),
             instructions: program.len(),
         }
     }
@@ -332,7 +361,7 @@ impl TimingCore {
                 // (per request — each member's V region is distinct).
                 let transpose = match m.weight {
                     TensorRef::Kv {
-                        kind: dfx_isa::KvKind::Value,
+                        kind: KvKind::Value,
                         ..
                     } if self.read_side_transpose => u64::from(m.rows) * u64::from(m.cols) * b,
                     _ => 0,
@@ -419,6 +448,84 @@ impl TimingCore {
                     latency: Cycles::ZERO,
                 }
             }
+        }
+    }
+}
+
+/// The map of the keys a step touched, from a dense array indexed like
+/// `keys`.
+fn touched<K: Ord, const N: usize>(
+    keys: [K; N],
+    values: [Option<Cycles>; N],
+) -> BTreeMap<K, Cycles> {
+    keys.into_iter()
+        .zip(values)
+        .filter_map(|(k, v)| Some((k, v?)))
+        .collect()
+}
+
+/// The K/V region a DMA instruction stores, if it stores one.
+fn stored_kv(instr: &Instr) -> Option<TensorRef> {
+    match instr {
+        Instr::Dma(d) if d.dir == DmaDir::Store && matches!(d.tensor, TensorRef::Kv { .. }) => {
+            Some(d.tensor)
+        }
+        _ => None,
+    }
+}
+
+/// When each K/V region stored this step becomes readable, dense over
+/// `(layer, local head, kind)`.
+///
+/// The table is sized from the regions the program itself stores, so it
+/// is exact for any program — built, decoded or hand-written — without a
+/// worst-case stride. A region the step never stores has no slot and
+/// waits on nothing, as does one whose store has not issued yet (its
+/// slot still reads zero).
+struct KvReady {
+    heads: usize,
+    ready: Vec<Cycles>,
+}
+
+impl KvReady {
+    fn for_program(program: &Program) -> Self {
+        let (mut layers, mut heads) = (0, 0);
+        for ai in program.instrs() {
+            if let Some(TensorRef::Kv { layer, head, .. }) = stored_kv(&ai.instr) {
+                layers = layers.max(usize::from(layer) + 1);
+                heads = heads.max(usize::from(head) + 1);
+            }
+        }
+        KvReady {
+            heads,
+            ready: vec![Cycles::ZERO; layers * heads * 2],
+        }
+    }
+
+    /// The slot of a K/V region inside the table.
+    fn slot(&self, tensor: TensorRef) -> Option<usize> {
+        let TensorRef::Kv { layer, head, kind } = tensor else {
+            return None;
+        };
+        let head = usize::from(head);
+        let kind = match kind {
+            KvKind::Key => 0,
+            KvKind::Value => 1,
+        };
+        let slot = (usize::from(layer) * self.heads + head) * 2 + kind;
+        (head < self.heads && slot < self.ready.len()).then_some(slot)
+    }
+
+    /// When `tensor` is readable: zero for anything not stored this step.
+    fn get(&self, tensor: TensorRef) -> Cycles {
+        self.slot(tensor)
+            .map_or(Cycles::ZERO, |slot| self.ready[slot])
+    }
+
+    /// Records that the store of `tensor` completes at `at`.
+    fn set(&mut self, tensor: TensorRef, at: Cycles) {
+        if let Some(slot) = self.slot(tensor) {
+            self.ready[slot] = at;
         }
     }
 }

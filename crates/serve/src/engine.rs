@@ -878,28 +878,32 @@ impl<'a> ServingEngine<'a> {
     ) -> Result<EngineState<'a>, SimError> {
         let n = workloads.len();
         let pending = Self::initial_pending(&plan, n);
-        if self.scheduler.is_continuous() && self.servers.iter().all(|s| s.continuous().is_some()) {
+        // Every server's stepper, opened once; `None` when the scheduler is
+        // static or any backend cannot batch continuously.
+        let steppers: Option<Vec<_>> = if self.scheduler.is_continuous() {
+            self.servers.iter().map(|&s| s.continuous()).collect()
+        } else {
+            None
+        };
+        if let Some(steppers) = steppers {
             let prefill_chunk = self.scheduler.prefill_chunk();
-            let mut runs: Vec<Run<'a>> = Vec::with_capacity(self.servers.len());
-            for i in 0..self.servers.len() {
-                let s: &'a dyn Backend = self.servers[i];
-                // build_state routes here only when every backend is
-                // continuous, but re-check instead of panicking on a
-                // broken invariant.
-                let mut stepper = s.continuous().ok_or_else(|| {
-                    SimError::Service(format!("backend {} cannot batch continuously", s.name()))
-                })?;
-                if prefill_chunk.is_some() {
-                    stepper.set_prefill_chunk(prefill_chunk);
-                }
-                runs.push(Run {
-                    stepper,
-                    members: Vec::new(),
-                    memory: s.memory(),
-                    epoch_ms: 0.0,
-                    rel_ms: 0.0,
-                });
-            }
+            let runs: Vec<Run<'a>> = self
+                .servers
+                .iter()
+                .zip(steppers)
+                .map(|(&s, mut stepper)| {
+                    if prefill_chunk.is_some() {
+                        stepper.set_prefill_chunk(prefill_chunk);
+                    }
+                    Run {
+                        stepper,
+                        members: Vec::new(),
+                        memory: s.memory(),
+                        epoch_ms: 0.0,
+                        rel_ms: 0.0,
+                    }
+                })
+                .collect();
             Ok(EngineState::Continuous(ContState {
                 workloads,
                 plan,
