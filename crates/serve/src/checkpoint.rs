@@ -1,32 +1,29 @@
-//! Incremental engine checkpoints: resume a replica's simulation from
-//! where it left off instead of re-simulating its whole prefix.
+//! Incremental engine checkpoints: a replica's simulation streamed
+//! forward as its arrivals become known, instead of re-simulated from
+//! scratch.
 //!
 //! The cluster tier's load-aware placements ([`LeastOutstanding`],
 //! [`LeastKvLoaded`]) need, at every routed arrival `t`, each replica's
-//! *simulated* state at `t`. The original implementation answered by
-//! re-running the replica's entire assigned prefix from scratch on
-//! every new assignment — O(n²) engine events across a sweep, which
-//! walled the cluster experiments off from large request counts. An
-//! [`EngineCheckpoint`] instead keeps one resumable
+//! state at `t`. An [`EngineCheckpoint`] keeps one resumable
 //! [`EngineState`](crate::engine) per replica and advances it
-//! monotonically: pushes reveal arrivals in time order, `advance_to(t)`
-//! commits exactly the events a full batch replay would have committed
-//! strictly before `t` (decisions whose outcome could still depend on
-//! unrevealed arrivals are stashed, not guessed — see the step
-//! contract in `engine.rs`), and [`finish`](EngineCheckpoint::finish)
-//! drains the stream into the same [`ServiceReport`] a fresh batch run
-//! over the full prefix would produce, bit for bit.
+//! monotonically — O(n) engine events over a whole run, rather than
+//! the O(n²) of re-simulating each replica's assigned prefix per
+//! arrival. Pushes reveal arrivals in time order; `advance_to(t)`
+//! commits the batch run's events, in order, up to `t`, and a decision
+//! whose outcome could still depend on unrevealed arrivals (a scheduler
+//! `Wait`, or an admission decline with no later arrival known) is
+//! stashed, not guessed — see the step contract in `engine.rs`. The snapshot accessors therefore answer with the
+//! stream's *committed* state, which never depends on a later push.
+//! [`finish`](EngineCheckpoint::finish) drains the stream into the same
+//! [`ServiceReport`] a fresh batch run over the full prefix would
+//! produce, bit for bit.
 //!
-//! The load snapshots are maintained incrementally too, with integer
-//! byte accounting so the reported ratio is bit-identical to the old
-//! full-replay float arithmetic (K/V budgets and claims are exact
-//! `u64` token-byte products far below 2^53, so their `f64` sums are
-//! exact and order-independent):
+//! The load snapshots are maintained incrementally, with integer byte
+//! accounting (K/V budgets and claims are exact `u64` token-byte
+//! products, so the ratio does not depend on summation order):
 //!
 //! - **outstanding** = pushed − |committed responses with
-//!   `finish_ms <= t`| — uncommitted events all finish after `t`, so
-//!   this equals the full replay's "responses finishing after `t`"
-//!   count;
+//!   `finish_ms <= t`|;
 //! - **K/V load** slides two independent min-heaps as `t` advances:
 //!   claims open from the engine's *admission log* when their
 //!   `start_ms` passes — starts are known at the admission event, so
@@ -34,39 +31,17 @@
 //!   measures) are visible long before they retire — and close from
 //!   the response log when their `finish_ms` passes. A claim's start
 //!   never exceeds its finish, so `claimed(t) = Σ opened − Σ closed`
-//!   equals the full replay's "started by `t`, unfinished at `t`" sum.
-//!   (A claim can also start *after* the event that committed it —
-//!   back-to-back prefills at one admission boundary push later
-//!   joiners' starts forward — which the start-keyed heap absorbs.)
+//!   is the "started by `t`, unfinished at `t`" sum. (A claim can also
+//!   start *after* the event that committed it — back-to-back prefills
+//!   at one admission boundary push later joiners' starts forward —
+//!   which the start-keyed heap absorbs.)
 //!
-//! Caveats:
-//!
-//! - Snapshot times must be non-decreasing (the heaps only slide
-//!   forward), which routed arrivals are. On the static path a pool
-//!   serving `Wait`-game disciplines can in principle make decisions at
-//!   non-monotone instants; the cluster experiments route over
-//!   continuous-batching replicas, whose event instants are globally
-//!   monotone, and the checkpoint-vs-replay property test pins the
-//!   equivalence.
-//! - When the scheduler stalls — declines to admit (or asks to wait)
-//!   at an instant where the stream knows of no later arrival — the
-//!   outcome of that decision depends on whether another request ever
-//!   joins the stream, so the advance parks there
-//!   ([`is_stalled`](EngineCheckpoint::is_stalled)) rather than guess.
-//!   A prefix replay, by contrast, *assumes the stream is complete*
-//!   and lets the decline resolve against the pool's busy boundaries,
-//!   possibly committing further admissions before `t`. The two
-//!   answers genuinely differ (the replay's guess gets rewritten the
-//!   next time an arrival joins), so stalled snapshots cannot be read
-//!   off the stream: the cluster router falls back to the old cached
-//!   replay exactly while a replica reports `is_stalled`, keeping
-//!   snapshot values bit-identical to the full-replay reference.
-//! - Checkpointed runs report through the same
-//!   [`ServiceReport`] as batch runs, so the cluster tier's pooled
-//!   TTFT/ITL percentiles and energy totals (see
-//!   [`telemetry`](crate::telemetry)) need no checkpoint-specific
-//!   plumbing — `finish` hands back the sorted samples and busy time
-//!   the telemetry layer reads.
+//! Snapshot times must be non-decreasing (the heaps only slide
+//! forward), which routed arrivals are. Checkpointed runs report
+//! through the same [`ServiceReport`] as batch runs, so the cluster
+//! tier's pooled TTFT/ITL percentiles and energy totals (see
+//! [`telemetry`](crate::telemetry)) need no checkpoint-specific
+//! plumbing.
 //!
 //! [`LeastOutstanding`]: crate::cluster::LeastOutstanding
 //! [`LeastKvLoaded`]: crate::cluster::LeastKvLoaded
@@ -187,24 +162,10 @@ impl<'a> EngineCheckpoint<'a> {
         self.state.pushed()
     }
 
-    /// Whether the stream is parked on a stashed scheduler decision (a
-    /// `Wait` or an admission decline made with no later arrival known
-    /// yet). Such a decision resolves differently depending on whether
-    /// another request ever joins the stream, so
-    /// [`advance_to`](Self::advance_to) stops there instead of
-    /// guessing. While stalled, the snapshot accessors answer "state at
-    /// `t` given events committed so far", which can *undercount* load
-    /// relative to a prefix replay that assumes the stream is complete
-    /// — callers needing that assume-complete semantics (the cluster
-    /// snapshot contract) must fall back to a replay while this returns
-    /// `true`.
-    pub fn is_stalled(&self) -> bool {
-        self.state.is_stalled()
-    }
-
-    /// Commits every event whose decision instant lies strictly before
-    /// `t` — afterwards the snapshot accessors answer for time `t`
-    /// exactly as a full replay of the pushed prefix would.
+    /// Commits, in event order, every event up to the first whose
+    /// decision instant is at or past `t` or whose outcome a later push
+    /// could change — afterwards the snapshot accessors answer for time
+    /// `t` from the committed state.
     ///
     /// # Errors
     ///

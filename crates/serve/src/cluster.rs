@@ -6,21 +6,27 @@
 //! request stream. [`ClusterRouter`] is that front door: it assigns
 //! every arrival to exactly one replica through a pluggable
 //! [`Placement`] policy, simulates each replica's sub-stream on its own
-//! [`ServingEngine`], and aggregates the per-replica
+//! [`ServingEngine`](crate::ServingEngine), and aggregates the per-replica
 //! [`ServiceReport`]s into a [`ClusterReport`] with *pooled*
 //! cross-replica percentiles (see [`stats::merged_percentile`] — never
 //! averaged), a Jain balance index and merged paging counters.
 //!
-//! # Exactness
+//! # Causality
 //!
-//! Routing is **incremental-exact**, not approximate: requests are
-//! assigned in arrival order, and a replica's state at time `t` is read
-//! from a full engine simulation of the sub-stream assigned *so far* —
-//! which by causality is its exact state at `t`, because requests that
-//! arrive later cannot influence earlier state. Placements that never
-//! read load ([`Placement::uses_load`] is `false`, e.g.
-//! [`RoundRobin`]) skip the intermediate simulations entirely and each
-//! replica runs once.
+//! Routing is **causal**: requests are assigned in arrival order, and a
+//! placement decision reads only what a real router could know at that
+//! arrival. Every replica streams its sub-stream through one
+//! [`EngineCheckpoint`]. A load-aware placement advances each replica to
+//! the arrival instant and reads its *committed* state — the events its
+//! engine has decided given the arrivals assigned to it so far. A
+//! scheduler decision that hinges on whether another request will join
+//! the replica (waiting for a batch to fill, declining to admit) stays
+//! open instead of being guessed, so a snapshot at `t` never depends on
+//! an assignment made after `t`. Placements that never read load
+//! ([`Placement::uses_load`] is `false`, e.g. [`RoundRobin`]) push
+//! without advancing. Either way a replica's report is
+//! [`EngineCheckpoint::finish`], bit-identical to a fresh engine run
+//! over the sub-stream it was assigned.
 //!
 //! Closed-loop arrivals are rejected with a typed error: a think-time
 //! loop couples submissions to completions on *one* queue, so it binds
@@ -39,7 +45,7 @@
 use crate::arrivals::ArrivalProcess;
 use crate::backend::{Backend, BatchReport, RunReport};
 use crate::checkpoint::EngineCheckpoint;
-use crate::engine::{Request, Response, ServiceReport, ServingEngine};
+use crate::engine::{Request, Response, ServiceReport};
 use crate::scheduler::Scheduler;
 use crate::stats;
 use crate::stepper::{ContinuousStepper, StepEvent};
@@ -64,8 +70,9 @@ pub struct RoutedRequest {
     pub session: Option<u64>,
 }
 
-/// A replica's state at one placement decision, exact at the arrival
-/// instant (see the module docs on incremental-exact routing).
+/// A replica's committed state at one placement decision: what its
+/// engine has decided by the arrival instant, given only the arrivals
+/// assigned to it so far (see the module docs on causality).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSnapshot {
     /// Replica index in construction order.
@@ -73,13 +80,14 @@ pub struct ReplicaSnapshot {
     /// Requests assigned to this replica so far (queued, running or
     /// finished).
     pub assigned: usize,
-    /// Requests in the replica's system (queued or running) at the
-    /// arrival instant. Zero unless the placement
+    /// Assigned requests not committed as finished by the arrival
+    /// instant (queued, running, or held by an open scheduler
+    /// decision). Zero unless the placement
     /// [`uses_load`](Placement::uses_load).
     pub outstanding: usize,
-    /// Fraction of the replica's K/V budget claimed by started,
-    /// unfinished requests at the arrival instant (whole
-    /// `input + output` claims against
+    /// Fraction of the replica's K/V budget claimed at the arrival
+    /// instant by committed admissions that have started and not
+    /// finished (whole `input + output` claims against
     /// [`MemoryModel::kv_budget_bytes`], summed over the replica's
     /// memory-modelled servers). Zero when no server models memory or
     /// the placement does not [`uses_load`](Placement::uses_load).
@@ -97,8 +105,8 @@ pub trait Placement {
 
     /// Whether [`place`](Placement::place) reads the load-derived
     /// snapshot fields (`outstanding`, `kv_load`). Returning `false`
-    /// (the default) lets the router skip all intermediate replica
-    /// simulations — each replica then runs exactly once.
+    /// (the default) lets the router skip advancing the replicas while
+    /// routing — each replica then runs once, at the end.
     fn uses_load(&self) -> bool {
         false
     }
@@ -289,49 +297,13 @@ fn replica_name(servers: &[&dyn Backend]) -> String {
     }
 }
 
-/// One replica behind the router: a server pool plus the sub-stream
-/// assigned to it and a cached simulation of that sub-stream.
+/// One replica behind the router: a server pool plus the requests
+/// assigned to it.
 struct Replica<'a> {
     servers: Vec<&'a dyn Backend>,
-    /// `(global id, workload, arrival ms)` in assignment (= arrival)
-    /// order.
-    assigned: Vec<(u64, Workload, f64)>,
-    /// Simulation of the first `len` assigned requests. Exact for any
-    /// query at or before the newest assigned arrival (causality).
-    cache: Option<(usize, ServiceReport)>,
-    /// The replica's incrementally-advanced engine state, when this run
-    /// snapshots load through checkpoints instead of full prefix
-    /// replays (load-aware placements outside
-    /// [`with_full_replay`](ClusterRouter::with_full_replay) mode).
-    live: Option<EngineCheckpoint<'a>>,
-}
-
-impl Replica<'_> {
-    /// K/V bytes claimed at `t` by started, unfinished requests,
-    /// against the replica's summed budget.
-    fn kv_load_at(&self, report: &ServiceReport, t: f64) -> f64 {
-        let mut budget = 0.0f64;
-        for s in &self.servers {
-            if let Some(m) = s.memory() {
-                // lint: order-sensitive — summed in server index order
-                budget += m.kv_budget_bytes() as f64;
-            }
-        }
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let mut claimed = 0.0f64;
-        for r in &report.responses {
-            if r.start_ms <= t && r.finish_ms > t {
-                if let Some(m) = self.servers.get(r.server).and_then(|s| s.memory()) {
-                    let tokens = r.request.workload.input_len + r.request.workload.output_len;
-                    // lint: order-sensitive — summed in response order
-                    claimed += m.kv_claim_bytes(tokens) as f64;
-                }
-            }
-        }
-        claimed / budget
-    }
+    /// Global ids of the assigned requests in assignment (= arrival)
+    /// order; a request's position here is its replica-local id.
+    assigned: Vec<u64>,
 }
 
 /// Per-replica slice of a [`ClusterReport`].
@@ -442,21 +414,16 @@ impl ClusterReport {
 }
 
 /// A deterministic router over N serving-engine replicas. See the
-/// module docs for the routing model and its exactness guarantees.
+/// module docs for the routing model and its causality guarantee.
 pub struct ClusterRouter<'a> {
     replicas: Vec<Replica<'a>>,
     placement: Box<dyn Placement>,
     make_scheduler: Box<dyn Fn() -> Box<dyn Scheduler> + 'a>,
-    /// Answer load snapshots by re-simulating each replica's full
-    /// assigned prefix (the O(n²) reference path) instead of advancing
-    /// incremental checkpoints. Kept as the oracle the equivalence
-    /// property tests pin the checkpoint path against.
-    full_replay: bool,
 }
 
 impl<'a> ClusterRouter<'a> {
     /// A router over replicas, each a non-empty server pool behind one
-    /// queue ([`ServingEngine::pool`] semantics).
+    /// queue ([`ServingEngine::pool`](crate::ServingEngine::pool) semantics).
     ///
     /// Replica engines default to FIFO; install any discipline with
     /// [`with_scheduler_factory`](ClusterRouter::with_scheduler_factory).
@@ -483,13 +450,10 @@ impl<'a> ClusterRouter<'a> {
                 .map(|servers| Replica {
                     servers,
                     assigned: Vec::new(),
-                    cache: None,
-                    live: None,
                 })
                 .collect(),
             placement,
             make_scheduler: Box::new(|| Box::new(crate::scheduler::Fifo)),
-            full_replay: false,
         })
     }
 
@@ -506,23 +470,9 @@ impl<'a> ClusterRouter<'a> {
     }
 
     /// Installs the scheduler every replica engine runs. A factory, not
-    /// an instance: each replica needs its own scheduler state (one per
-    /// checkpoint, or one per replay in
-    /// [`with_full_replay`](ClusterRouter::with_full_replay) mode).
+    /// an instance: each replica's engine needs its own scheduler state.
     pub fn with_scheduler_factory(mut self, factory: impl Fn() -> Box<dyn Scheduler> + 'a) -> Self {
         self.make_scheduler = Box::new(factory);
-        self
-    }
-
-    /// Answers load-aware placement snapshots by re-simulating each
-    /// replica's full assigned prefix at every arrival — the O(n²)
-    /// reference implementation the incremental checkpoints replaced.
-    /// Bit-identical to the default path; kept as the oracle for the
-    /// checkpoint-equivalence property tests and has no effect on
-    /// load-blind placements (which never simulate while routing).
-    #[must_use]
-    pub fn with_full_replay(mut self) -> Self {
-        self.full_replay = true;
         self
     }
 
@@ -584,22 +534,15 @@ impl<'a> ClusterRouter<'a> {
 
         self.placement.reset();
         let uses_load = self.placement.uses_load();
-        // Load-aware placements stream each replica through an
-        // incremental checkpoint: every snapshot advances the replica
-        // from its last simulated event to the new arrival instead of
-        // replaying its whole prefix (O(n) events total, not O(n²)).
-        let incremental = uses_load && !self.full_replay;
+        // One streaming engine per replica: every snapshot of this run
+        // and the replica's final report are read from it.
+        let mut streams = Vec::with_capacity(self.replicas.len());
         for r in &mut self.replicas {
             r.assigned.clear();
-            r.cache = None;
-            r.live = if incremental {
-                Some(EngineCheckpoint::new(
-                    r.servers.clone(),
-                    (self.make_scheduler)(),
-                )?)
-            } else {
-                None
-            };
+            streams.push(EngineCheckpoint::new(
+                r.servers.clone(),
+                (self.make_scheduler)(),
+            )?);
         }
 
         for (i, (&workload, &arrival_ms)) in workloads.iter().zip(&times).enumerate() {
@@ -609,11 +552,7 @@ impl<'a> ClusterRouter<'a> {
                 arrival_ms,
                 session: sessions[i],
             };
-            let snapshots = if incremental {
-                self.snapshots_incremental(arrival_ms)?
-            } else {
-                self.snapshots(arrival_ms, uses_load)?
-            };
+            let snapshots = snapshots_at(&mut streams, arrival_ms, uses_load)?;
             let choice = self.placement.place(&request, &snapshots);
             if choice >= self.replicas.len() {
                 return Err(SimError::Service(format!(
@@ -622,171 +561,38 @@ impl<'a> ClusterRouter<'a> {
                     self.replicas.len()
                 )));
             }
-            let replica = &mut self.replicas[choice];
-            replica.assigned.push((request.id, workload, arrival_ms));
-            if let Some(live) = replica.live.as_mut() {
-                live.push(workload, arrival_ms);
-            }
+            self.replicas[choice].assigned.push(request.id);
+            streams[choice].push(workload, arrival_ms);
         }
 
-        self.finalize(workloads)
-    }
-
-    /// Exact per-replica state at `t` through the incremental
-    /// checkpoints: each replica advances from its last simulated event
-    /// to `t` and answers outstanding/K/V-load from its sliding
-    /// accounting heaps. Bit-identical to [`snapshots`] with
-    /// `uses_load` (the full-replay reference), which the
-    /// checkpoint-equivalence property test pins.
-    ///
-    /// One corner cannot be read off the stream: a replica whose
-    /// scheduler stalled (declined with no later-assigned arrival known
-    /// — see [`EngineCheckpoint::is_stalled`]). The full-replay
-    /// reference resolves that decline by *assuming the sub-stream is
-    /// complete*, which can commit further admissions before `t` that
-    /// the parked stream must not guess at (the replay itself rewrites
-    /// that history once another arrival joins). While a replica is
-    /// stalled, this falls back to the old cached prefix replay for its
-    /// snapshot — same values, and still cached per assignment — and
-    /// the live stream resumes untouched.
-    ///
-    /// [`snapshots`]: ClusterRouter::snapshots
-    fn snapshots_incremental(&mut self, t: f64) -> Result<Vec<ReplicaSnapshot>, SimError> {
-        let mut out = Vec::with_capacity(self.replicas.len());
-        for index in 0..self.replicas.len() {
-            let replica = &mut self.replicas[index];
-            if replica.assigned.is_empty() {
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: 0,
-                    outstanding: 0,
-                    kv_load: 0.0,
-                });
-                continue;
-            }
-            let live = replica.live.as_mut().ok_or_else(|| {
-                SimError::Service(format!("replica {index} has no live checkpoint"))
-            })?;
-            live.advance_to(t)?;
-            if live.is_stalled() {
-                self.refresh(index)?;
-                let replica = &self.replicas[index];
-                let report = match &replica.cache {
-                    Some((_, report)) => report,
-                    None => {
-                        return Err(SimError::Service(format!(
-                            "replica {index} has no cached run after refresh"
-                        )))
-                    }
-                };
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: replica.assigned.len(),
-                    outstanding: report.responses.iter().filter(|r| r.finish_ms > t).count(),
-                    kv_load: replica.kv_load_at(report, t),
-                });
-                continue;
-            }
-            out.push(ReplicaSnapshot {
-                index,
-                assigned: replica.assigned.len(),
-                outstanding: live.outstanding_at(t),
-                kv_load: live.kv_load_at(t),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Exact per-replica state at `t` (see module docs), answered by
-    /// re-simulating assigned prefixes. Skips all simulation when the
-    /// placement never reads load.
-    fn snapshots(&mut self, t: f64, uses_load: bool) -> Result<Vec<ReplicaSnapshot>, SimError> {
-        let mut out = Vec::with_capacity(self.replicas.len());
-        for index in 0..self.replicas.len() {
-            if !uses_load || self.replicas[index].assigned.is_empty() {
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: self.replicas[index].assigned.len(),
-                    outstanding: 0,
-                    kv_load: 0.0,
-                });
-                continue;
-            }
-            self.refresh(index)?;
-            let replica = &self.replicas[index];
-            // refresh() always leaves a cache behind for a non-empty
-            // sub-stream; an empty one was handled above.
-            let report = match &replica.cache {
-                Some((_, report)) => report,
-                None => {
-                    return Err(SimError::Service(format!(
-                        "replica {index} has no cached run after refresh"
-                    )))
-                }
-            };
-            // All assigned arrivals are <= t (assignment follows arrival
-            // order), so in-system means not yet finished.
-            let outstanding = report.responses.iter().filter(|r| r.finish_ms > t).count();
-            out.push(ReplicaSnapshot {
-                index,
-                assigned: replica.assigned.len(),
-                outstanding,
-                kv_load: replica.kv_load_at(report, t),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Re-simulates replica `index`'s assigned sub-stream unless the
-    /// cache already covers it.
-    fn refresh(&mut self, index: usize) -> Result<(), SimError> {
-        let current = match &self.replicas[index].cache {
-            Some((len, _)) => *len == self.replicas[index].assigned.len(),
-            None => false,
-        };
-        if current {
-            return Ok(());
-        }
-        let replica = &self.replicas[index];
-        let workloads: Vec<Workload> = replica.assigned.iter().map(|a| a.1).collect();
-        let trace: Vec<f64> = replica.assigned.iter().map(|a| a.2).collect();
-        let report = ServingEngine::pool(replica.servers.clone())?
-            .with_scheduler((self.make_scheduler)())
-            .run(&workloads, &ArrivalProcess::Trace(trace))?;
-        self.replicas[index].cache = Some((self.replicas[index].assigned.len(), report));
-        Ok(())
+        self.finalize(workloads, streams)
     }
 
     /// Runs every non-empty replica to completion and aggregates the
     /// cluster report.
-    fn finalize(&mut self, workloads: &[Workload]) -> Result<ClusterReport, SimError> {
-        for index in 0..self.replicas.len() {
-            if self.replicas[index].assigned.is_empty() {
-                self.replicas[index].live = None;
-                continue;
-            }
-            // A live checkpoint already simulated a prefix of this
-            // sub-stream; draining it costs only the remaining events
-            // and yields the same report a fresh full run would.
-            if let Some(live) = self.replicas[index].live.take() {
-                let report = live.finish()?;
-                self.replicas[index].cache = Some((self.replicas[index].assigned.len(), report));
-            } else {
-                self.refresh(index)?;
-            }
-        }
-
+    fn finalize(
+        &self,
+        workloads: &[Workload],
+        streams: Vec<EngineCheckpoint<'a>>,
+    ) -> Result<ClusterReport, SimError> {
         let mut replica_reports = Vec::with_capacity(self.replicas.len());
         let mut responses: Vec<Response> = Vec::with_capacity(workloads.len());
         let mut paging: Option<PagingStats> = None;
         let mut makespan_ms = 0.0f64;
-        for (index, replica) in self.replicas.iter().enumerate() {
-            let report = replica.cache.as_ref().map(|(_, r)| r.clone());
+        for ((index, replica), stream) in self.replicas.iter().enumerate().zip(streams) {
+            // Draining the stream costs only the events not yet
+            // committed while routing, and yields the report a fresh
+            // run over the whole sub-stream would.
+            let report = if replica.assigned.is_empty() {
+                None
+            } else {
+                Some(stream.finish()?)
+            };
             if let Some(report) = &report {
                 for r in &report.responses {
                     let local = r.request.id as usize;
                     let global_id = match replica.assigned.get(local) {
-                        Some(&(gid, _, _)) => gid,
+                        Some(&gid) => gid,
                         None => {
                             return Err(SimError::Service(format!(
                                 "replica {index} reported unknown local request {local}"
@@ -871,6 +677,34 @@ impl<'a> ClusterRouter<'a> {
             transfer: None,
         })
     }
+}
+
+/// Every replica's committed state at `t` (see the module docs). A
+/// load-aware placement advances each replica's stream from its last
+/// committed event to `t` — O(n) engine events over a whole run — and
+/// reads outstanding/K/V load off its sliding accounting heaps; a
+/// load-blind one reads assignment counts only.
+fn snapshots_at(
+    streams: &mut [EngineCheckpoint<'_>],
+    t: f64,
+    uses_load: bool,
+) -> Result<Vec<ReplicaSnapshot>, SimError> {
+    let mut out = Vec::with_capacity(streams.len());
+    for (index, stream) in streams.iter_mut().enumerate() {
+        let mut snapshot = ReplicaSnapshot {
+            index,
+            assigned: stream.pushed(),
+            outstanding: 0,
+            kv_load: 0.0,
+        };
+        if uses_load {
+            stream.advance_to(t)?;
+            snapshot.outstanding = stream.outstanding_at(t);
+            snapshot.kv_load = stream.kv_load_at(t);
+        }
+        out.push(snapshot);
+    }
+    Ok(out)
 }
 
 /// Nearest-rank p50/p95/p99 over an already-sorted pool; all zero for

@@ -613,20 +613,6 @@ impl EngineState<'_> {
         }
     }
 
-    /// Whether the stream is parked on a stashed scheduler decision —
-    /// a `Wait` or an admission decline taken when no later arrival was
-    /// known yet. Such a decision's outcome depends on whether the
-    /// stream ever receives another request, so a horizon-bounded
-    /// advance stops there rather than guessing; callers that need
-    /// "state at `t` assuming no more arrivals" semantics (the cluster
-    /// snapshot contract) must answer from a prefix replay instead.
-    pub(crate) fn is_stalled(&self) -> bool {
-        match self {
-            EngineState::Static(st) => st.stashed_wait_ms.is_some(),
-            EngineState::Continuous(st) => st.stashed_decline,
-        }
-    }
-
     /// The error a batch run raises when the loop runs dry with
     /// requests unserved.
     pub(crate) fn starvation_error(&self) -> SimError {

@@ -10,17 +10,19 @@
 //!    random one) and any open-loop arrival process.
 //! 2. **Causality** — no response starts before its arrival, and every
 //!    response's replica index is the one the placement chose.
-//! 3. **Determinism** — identical seeds reproduce the whole
+//! 3. **Sub-stream equivalence** — each replica's report is a fresh
+//!    `ServingEngine` run over the requests the cluster routed to it,
+//!    for load-blind and load-aware placements alike.
+//! 4. **Determinism** — identical seeds reproduce the whole
 //!    `ClusterReport` bit for bit.
-//! 4. **Single-replica equivalence** — a cluster of one replica is the
-//!    bare `ServingEngine` run, bit-identical responses and all.
-//! 5. **Round-robin fairness** — dispatch counts never differ by more
+//! 5. **Single-replica equivalence** — a cluster of one replica is the
+//!    bare `ServingEngine` run, bit-identical responses and all, under
+//!    FIFO, static batching and continuous batching.
+//! 6. **Round-robin fairness** — dispatch counts never differ by more
 //!    than one, so the Jain balance index is ~1.
-//! 6. **Checkpoint equivalence** — load-aware routing through
-//!    incremental engine checkpoints produces a report bit-identical
-//!    to the O(n²) full-replay reference
-//!    ([`with_full_replay`](ClusterRouter::with_full_replay)), declines
-//!    and all.
+//! 7. **Causal snapshots** — the replica state a placement sees at an
+//!    arrival does not depend on any later assignment, and it never
+//!    reports a completion the final history does not contain.
 //!
 //! Plus the session-affinity prefix-hit regression: with a shared
 //! system prompt on paged replicas, pinning a session strictly
@@ -33,12 +35,14 @@
 
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
-    ArrivalProcess, Backend, ClusterRouter, ContinuousBatching, ContinuousStepper, Placement,
-    ReplicaSnapshot, RoundRobin, RoutedRequest, RunReport, ServingEngine, SessionAffinity,
-    StepEvent,
+    ArrivalProcess, Backend, Batching, ClusterReport, ClusterRouter, ContinuousBatching,
+    ContinuousStepper, Fifo, LeastKvLoaded, LeastOutstanding, Placement, ReplicaSnapshot,
+    RoundRobin, RoutedRequest, RunReport, Scheduler, ServingEngine, SessionAffinity, StepEvent,
 };
 use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Closed-form backend: `input + output` ms per request, with a
 /// matching token-granular stepper (see `serving_invariants.rs`).
@@ -136,15 +140,124 @@ impl Placement for SeededRandom {
     }
 }
 
+/// Every snapshot vector the router showed a placement, with the
+/// replica it chose, in arrival order.
+type PlacementLog = Rc<RefCell<Vec<(Vec<ReplicaSnapshot>, usize)>>>;
+
+/// Wraps a placement and records what the router shows it.
+struct Recording {
+    inner: Box<dyn Placement>,
+    log: PlacementLog,
+}
+
+impl Placement for Recording {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn uses_load(&self) -> bool {
+        self.inner.uses_load()
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.log.borrow_mut().clear();
+    }
+    fn place(&mut self, request: &RoutedRequest, replicas: &[ReplicaSnapshot]) -> usize {
+        let choice = self.inner.place(request, replicas);
+        self.log.borrow_mut().push((replicas.to_vec(), choice));
+        choice
+    }
+}
+
+/// Copies a scripted run's first `k` choices, then picks a different
+/// replica than the script at every later arrival. Load-aware, so the
+/// router advances every replica before each choice.
+struct DivergeAfter {
+    script: Vec<usize>,
+    k: usize,
+}
+
+impl Placement for DivergeAfter {
+    fn name(&self) -> String {
+        "diverge-after".into()
+    }
+    fn uses_load(&self) -> bool {
+        true
+    }
+    fn place(&mut self, request: &RoutedRequest, replicas: &[ReplicaSnapshot]) -> usize {
+        let i = request.id as usize;
+        if i < self.k {
+            self.script[i]
+        } else {
+            (self.script[i] + 1) % replicas.len()
+        }
+    }
+}
+
 fn arb_workloads() -> impl Strategy<Value = Vec<Workload>> {
     proptest::collection::vec((1usize..64, 1usize..64), 1..32)
         .prop_map(|v| v.into_iter().map(|(i, o)| Workload::new(i, o)).collect())
 }
 
+/// Fifo, static `Batching` or `ContinuousBatching`, by `kind`.
+fn scheduler(kind: usize, max_batch: usize, max_wait_ms: f64) -> Box<dyn Scheduler> {
+    match kind {
+        0 => Box::new(Fifo),
+        1 => Box::new(Batching::new(max_batch, max_wait_ms)),
+        _ => Box::new(ContinuousBatching::new(max_batch)),
+    }
+}
+
+/// Tiny appliances whose K/V budget fits any single arb workload
+/// (≤ 126 tokens) but not every pair, so schedulers genuinely decline
+/// and streams stall under load.
+fn capped_appliances(n: usize) -> Vec<Appliance> {
+    (0..n)
+        .map(|_| {
+            let base = Appliance::timing_only(GptConfig::tiny(), 1).unwrap();
+            let m = base.memory_model();
+            let capacity = m.weight_bytes + 160 * m.kv_bytes_per_token;
+            base.with_hbm_capacity(capacity).unwrap()
+        })
+        .collect()
+}
+
+/// Each replica's report equals a fresh single-replica engine run over
+/// the sub-stream the cluster's responses assign to it.
+fn replicas_match_fresh_substream_runs(
+    report: &ClusterReport,
+    backends: &[&dyn Backend],
+    make_scheduler: impl Fn() -> Box<dyn Scheduler>,
+) -> Result<(), TestCaseError> {
+    for (i, replica) in report.replicas.iter().enumerate() {
+        let routed: Vec<_> = report.responses.iter().filter(|r| r.server == i).collect();
+        let fresh = if routed.is_empty() {
+            None
+        } else {
+            let workloads: Vec<Workload> = routed.iter().map(|r| r.request.workload).collect();
+            let times: Vec<f64> = routed.iter().map(|r| r.request.arrival_ms).collect();
+            let run = ServingEngine::pool(vec![backends[i]])
+                .unwrap()
+                .with_scheduler(make_scheduler())
+                .run(&workloads, &ArrivalProcess::Trace(times))
+                .unwrap();
+            Some(run)
+        };
+        prop_assert_eq!(
+            &replica.report,
+            &fresh,
+            "replica {} diverged from its sub-stream",
+            i
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     /// Conservation and causality under an adversarial placement:
     /// every request served exactly once, with its own workload, never
-    /// before it arrived, on the replica the placement chose.
+    /// before it arrived, on the replica the placement chose. Each
+    /// replica's report — for the adversarial placement and a
+    /// load-aware one — is a fresh engine run over its sub-stream.
     #[test]
     fn random_placement_conserves_requests_and_causality(
         workloads in arb_workloads(),
@@ -156,10 +269,17 @@ proptest! {
         let backends: Vec<UnitBackend> = (0..replicas).map(|_| UnitBackend).collect();
         let servers: Vec<&dyn Backend> = backends.iter().map(|b| b as &dyn Backend).collect();
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
-        let report = ClusterRouter::uniform(servers, Box::new(SeededRandom { state: lcg_seed }))
+        let report =
+            ClusterRouter::uniform(servers.clone(), Box::new(SeededRandom { state: lcg_seed }))
+                .unwrap()
+                .run(&workloads, &arrivals)
+                .unwrap();
+        replicas_match_fresh_substream_runs(&report, &servers, || Box::new(Fifo))?;
+        let balanced = ClusterRouter::uniform(servers.clone(), Box::new(LeastOutstanding))
             .unwrap()
             .run(&workloads, &arrivals)
             .unwrap();
+        replicas_match_fresh_substream_runs(&balanced, &servers, || Box::new(Fifo))?;
 
         prop_assert_eq!(report.total_requests, workloads.len());
         prop_assert_eq!(report.responses.len(), workloads.len());
@@ -181,7 +301,7 @@ proptest! {
 
     /// Identical seeds reproduce the whole cluster report bit for bit,
     /// for both a load-blind and a load-aware placement (the latter
-    /// exercises the incremental re-simulation path).
+    /// advances every replica's stream at each arrival).
     #[test]
     fn seeded_cluster_runs_are_reproducible(
         workloads in arb_workloads(),
@@ -196,7 +316,7 @@ proptest! {
             let servers: Vec<&dyn Backend> =
                 backends.iter().map(|b| b as &dyn Backend).collect();
             let placement: Box<dyn Placement> = if load_aware {
-                Box::new(dfx::serve::LeastOutstanding)
+                Box::new(LeastOutstanding)
             } else {
                 Box::new(RoundRobin::new())
             };
@@ -210,25 +330,32 @@ proptest! {
 
     /// A cluster of one replica is the bare engine: the replica's
     /// inner report equals `ServingEngine::run` bit for bit, and the
-    /// cluster-level responses and percentiles match it.
+    /// cluster-level responses and percentiles match it — whether the
+    /// replica's stream is drained once at the end (round-robin) or
+    /// advanced to every arrival first (least-outstanding), under
+    /// FIFO, static batching (whose `Wait` decisions stall the stream)
+    /// and continuous batching.
     #[test]
     fn single_replica_cluster_is_bit_identical_to_bare_engine(
         workloads in arb_workloads(),
         rate_per_s in 0.5f64..200.0,
         seed in any::<u64>(),
-        max_batch in 1usize..5,
+        (scheduler_kind, max_batch, max_wait_ms) in (0usize..3, 1usize..5, 0.0f64..20.0),
+        load_aware in any::<bool>(),
     ) {
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
         let bare = ServingEngine::new(&UnitBackend)
-            .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
+            .with_scheduler(scheduler(scheduler_kind, max_batch, max_wait_ms))
             .run(&workloads, &arrivals)
             .unwrap();
-        let cluster = ClusterRouter::uniform(
-                vec![&UnitBackend as &dyn Backend],
-                Box::new(RoundRobin::new()),
-            )
+        let placement: Box<dyn Placement> = if load_aware {
+            Box::new(LeastOutstanding)
+        } else {
+            Box::new(RoundRobin::new())
+        };
+        let cluster = ClusterRouter::uniform(vec![&UnitBackend as &dyn Backend], placement)
             .unwrap()
-            .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)))
+            .with_scheduler_factory(move || scheduler(scheduler_kind, max_batch, max_wait_ms))
             .run(&workloads, &arrivals)
             .unwrap();
 
@@ -268,50 +395,68 @@ proptest! {
         prop_assert!(max - min <= 1, "round-robin dispatch skew: {:?}", counts);
     }
 
-    /// Checkpoint equivalence: routing through incremental engine
-    /// checkpoints (the default for load-aware placements) produces a
-    /// `ClusterReport` bit-identical to the O(n²) full-replay
-    /// reference, for both load signals. Memory-bound replicas make
-    /// `LeastKvLoaded` read real K/V claims and push the scheduler
-    /// into saturation declines, exercising the stalled-stream replay
-    /// fallback as well as the streamed admission accounting.
+    /// Causal snapshots: place one stream twice — once with a
+    /// load-aware policy, once copying its first `k` choices and then
+    /// diverging — and the snapshots seen at arrivals `0..=k` are
+    /// identical, so no snapshot depends on a later assignment.
+    /// Memory-capped replicas under static or continuous batching make
+    /// schedulers wait and decline, so stalled streams are read too.
+    /// Every snapshot is also a prefix of the final history: it never
+    /// counts a request finished that the report still has in flight.
+    /// And the streamed replica reports, stalls included, equal fresh
+    /// engine runs over their sub-streams.
     #[test]
-    fn incremental_checkpoints_match_full_replay(
+    fn snapshots_are_invariant_to_later_assignments(
         workloads in arb_workloads(),
         rate_per_s in 0.5f64..200.0,
         seed in any::<u64>(),
-        replicas in 1usize..4,
-        max_batch in 1usize..5,
-        kv_aware in any::<bool>(),
+        replicas in 2usize..4,
+        (static_batching, max_batch, max_wait_ms) in (any::<bool>(), 1usize..5, 0.0f64..20.0),
+        (kv_aware, split) in (any::<bool>(), any::<u64>()),
     ) {
-        // Budget fits any single arb workload (≤ 126 tokens) but not
-        // every pair, so declines genuinely occur under load.
-        let backends: Vec<Appliance> = (0..replicas)
-            .map(|_| {
-                let base = Appliance::timing_only(GptConfig::tiny(), 1).unwrap();
-                let m = base.memory_model();
-                let capacity = m.weight_bytes + 160 * m.kv_bytes_per_token;
-                base.with_hbm_capacity(capacity).unwrap()
-            })
-            .collect();
+        let backends = capped_appliances(replicas);
+        let servers: Vec<&dyn Backend> = backends.iter().map(|b| b as &dyn Backend).collect();
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
-        let run = |full_replay: bool| {
-            let servers: Vec<&dyn Backend> =
-                backends.iter().map(|b| b as &dyn Backend).collect();
-            let placement: Box<dyn Placement> = if kv_aware {
-                Box::new(dfx::serve::LeastKvLoaded)
-            } else {
-                Box::new(dfx::serve::LeastOutstanding)
-            };
-            let mut router = ClusterRouter::uniform(servers, placement)
+        let kind = if static_batching { 1 } else { 2 };
+        let run = |placement: Box<dyn Placement>| {
+            let log = PlacementLog::default();
+            let recording = Recording { inner: placement, log: Rc::clone(&log) };
+            let report = ClusterRouter::uniform(servers.clone(), Box::new(recording))
                 .unwrap()
-                .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)));
-            if full_replay {
-                router = router.with_full_replay();
-            }
-            router.run(&workloads, &arrivals).unwrap()
+                .with_scheduler_factory(move || scheduler(kind, max_batch, max_wait_ms))
+                .run(&workloads, &arrivals)
+                .unwrap();
+            (report, log.take())
         };
-        prop_assert_eq!(run(false), run(true));
+        let first_placement: Box<dyn Placement> = if kv_aware {
+            Box::new(LeastKvLoaded)
+        } else {
+            Box::new(LeastOutstanding)
+        };
+        let (report, first) = run(first_placement);
+        let k = (split % workloads.len() as u64) as usize;
+        let script = first.iter().map(|&(_, choice)| choice).collect();
+        let (_, second) = run(Box::new(DivergeAfter { script, k }));
+
+        for j in 0..=k {
+            prop_assert_eq!(&first[j].0, &second[j].0,
+                "snapshot at arrival {} depends on an assignment after it", j);
+        }
+        for (j, (snapshots, _)) in first.iter().enumerate() {
+            let t = report.responses[j].request.arrival_ms;
+            for s in snapshots {
+                let in_flight = report.responses[..j]
+                    .iter()
+                    .filter(|r| r.server == s.index && r.finish_ms > t)
+                    .count();
+                prop_assert!(s.outstanding >= in_flight,
+                    "arrival {}: replica {} reports {} outstanding, the final history {}",
+                    j, s.index, s.outstanding, in_flight);
+            }
+        }
+        replicas_match_fresh_substream_runs(&report, &servers, || {
+            scheduler(kind, max_batch, max_wait_ms)
+        })?;
     }
 }
 
@@ -406,7 +551,7 @@ fn cluster_invariants_hold_on_real_appliances() {
     };
     let run = || {
         let servers: Vec<&dyn Backend> = appliances.iter().map(|a| a as &dyn Backend).collect();
-        ClusterRouter::uniform(servers, Box::new(dfx::serve::LeastKvLoaded))
+        ClusterRouter::uniform(servers, Box::new(LeastKvLoaded))
             .unwrap()
             .with_scheduler_factory(|| Box::new(ContinuousBatching::new(3)))
             .run(&workloads, &arrivals)
