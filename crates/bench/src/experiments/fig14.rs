@@ -161,4 +161,20 @@ mod tests {
             "average speedup {s} too far from the paper's 3.20x"
         );
     }
+
+    #[test]
+    fn the_grid_walks_each_step_shape_once() {
+        // The 15 cells run 2,128 token steps, on pool workers sharing one
+        // appliance; they cover only 479 distinct `(position, LM head)`
+        // shapes (positions 0..127 without the LM head, 31..382 with it),
+        // and the cycle model walks each once.
+        let steps: usize = paper::GRID.iter().map(|&(i, o)| i + o - 1).sum();
+        assert_eq!(steps, 2128);
+        let dfx = Appliance::timing_only(GptConfig::gpt2_345m(), 1).unwrap();
+        let first = grid_latencies_ms(&dfx);
+        assert_eq!(dfx.timed_step_shapes(), 479);
+        // A second pass walks nothing new and reads the same latencies.
+        assert_eq!(grid_latencies_ms(&dfx), first);
+        assert_eq!(dfx.timed_step_shapes(), 479);
+    }
 }

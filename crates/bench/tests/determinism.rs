@@ -61,6 +61,21 @@ fn sweeps_are_bit_identical_with_the_worker_pool_off() {
     // fully serial on the calling thread. Any divergence means a cell
     // read something it shouldn't (shared memo, accumulation order,
     // thread identity) — results must not depend on the thread count.
+    // `fig14` times its grid cells on pool workers that share one
+    // appliance's step-cost table, so it also pins the table's size:
+    // a shape missed by two workers at once is walked twice but stored
+    // once. `batching` shares one appliance's table across all its
+    // engines.
+    let fig14 = || {
+        let cfg = GptConfig::new("fig14-smoke", 64, 2, 2, 512, 640);
+        let dfx = Appliance::timing_only(cfg, 1).expect("partitionable");
+        let latencies = experiments::grid_latencies_ms(&dfx);
+        (latencies, dfx.timed_step_shapes())
+    };
+    let batching = || {
+        let cfg = GptConfig::new("batching-smoke", 64, 2, 2, 512, 640);
+        experiments::batching_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0)
+    };
     let continuous = || {
         let cfg = GptConfig::new("continuous-smoke", 64, 2, 2, 512, 640);
         experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0)
@@ -73,10 +88,15 @@ fn sweeps_are_bit_identical_with_the_worker_pool_off() {
         let cfg = GptConfig::new("cluster-smoke", 64, 2, 2, 512, 640);
         experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2])
     };
+    let (pooled_f, pooled_b) = (fig14(), batching());
     let (pooled_c, pooled_m, pooled_k) = (continuous(), memory(), cluster());
+    let serial_f = rayon_lite::with_max_threads(1, fig14);
+    let serial_b = rayon_lite::with_max_threads(1, batching);
     let serial_c = rayon_lite::with_max_threads(1, continuous);
     let serial_m = rayon_lite::with_max_threads(1, memory);
     let serial_k = rayon_lite::with_max_threads(1, cluster);
+    assert_eq!(pooled_f, serial_f, "fig14 grid depends on the pool");
+    assert_eq!(pooled_b, serial_b, "batching sweep depends on the pool");
     assert_eq!(pooled_c, serial_c, "continuous sweep depends on the pool");
     assert_eq!(pooled_m, serial_m, "memory sweep depends on the pool");
     assert_eq!(pooled_k, serial_k, "cluster sweep depends on the pool");

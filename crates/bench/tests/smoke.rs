@@ -211,12 +211,9 @@ fn fig14_grid_runs_on_a_tiny_config() {
 }
 
 // The full fig14 report simulates the complete 15-point grid on all three
-// paper models (up to 256 generated tokens per point) — minutes in debug
-// builds. The grid machinery is covered at test speed by
-// `fig14_grid_runs_on_a_tiny_config` and by the in-module 345M unit test;
-// run this one with `cargo test -- --ignored` or via `reproduce fig14`.
+// paper models. Each appliance walks each distinct step shape once, so
+// it runs in about two seconds in debug builds.
 #[test]
-#[ignore = "paper-scale grid; covered by the tiny-config test above"]
 fn fig14_full_report_is_well_formed() {
     assert_well_formed(&experiments::fig14(), "fig14");
 }

@@ -22,6 +22,7 @@ use crate::program::{OpClass, Program, StepMeta};
 use crate::tensor_ref::{EmbedTable, KvKind, LnParam, TensorRef, WeightKind};
 use dfx_model::{GptConfig, LAYER_NORM_EPS};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Fixed vector-register allocation used by the builder (the executor and
 /// tests refer to these by name).
@@ -209,6 +210,11 @@ pub struct ProgramBuilder {
     cfg: GptConfig,
     par: ParallelConfig,
     options: BuilderOptions,
+    /// Instruction count of a token step without (`[0]`) and with
+    /// (`[1]`) the LM head, learned from the first such step built. It
+    /// does not depend on the position, so later steps allocate their
+    /// instruction list once at its final length.
+    step_len: [OnceLock<usize>; 2],
 }
 
 impl ProgramBuilder {
@@ -234,7 +240,12 @@ impl ProgramBuilder {
         options: BuilderOptions,
     ) -> Result<Self, String> {
         par.check(&cfg)?;
-        Ok(ProgramBuilder { cfg, par, options })
+        Ok(ProgramBuilder {
+            cfg,
+            par,
+            options,
+            step_len: [OnceLock::new(), OnceLock::new()],
+        })
     }
 
     /// The compiler options in effect.
@@ -266,12 +277,16 @@ impl ProgramBuilder {
             "token position {token_pos} exceeds max sequence length {}",
             self.cfg.max_seq_len
         );
-        let mut p = Program::new(StepMeta {
-            token_pos: token_pos as u32,
-            lm_head,
-            core_id: self.par.core_id as u32,
-            num_cores: self.par.num_cores as u32,
-        });
+        let step_len = &self.step_len[usize::from(lm_head)];
+        let mut p = Program::with_capacity(
+            StepMeta {
+                token_pos: token_pos as u32,
+                lm_head,
+                core_id: self.par.core_id as u32,
+                num_cores: self.par.num_cores as u32,
+            },
+            step_len.get().copied().unwrap_or(0),
+        );
         self.emit_embedding(&mut p, token_pos);
         for layer in 0..self.cfg.num_layers {
             self.emit_decoder_layer(&mut p, layer as u16, token_pos);
@@ -279,6 +294,7 @@ impl ProgramBuilder {
         if lm_head {
             self.emit_lm_head(&mut p);
         }
+        step_len.get_or_init(|| p.len());
         p
     }
 
@@ -1085,5 +1101,12 @@ mod tests {
         // Context length does not change the instruction count, only
         // operand widths.
         assert_eq!(p0.len(), p9.len());
+        assert_eq!(b.token_step(0, true).len(), b.token_step(9, true).len());
+        // The learned count only presizes the instruction list: a builder
+        // that has built steps before emits the same programs as a fresh
+        // one.
+        for lm_head in [false, true] {
+            assert_eq!(b.token_step(5, lm_head), builder(2).token_step(5, lm_head));
+        }
     }
 }

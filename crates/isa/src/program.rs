@@ -117,6 +117,14 @@ impl Program {
         }
     }
 
+    /// Creates an empty program with room for `instrs` instructions.
+    pub fn with_capacity(meta: StepMeta, instrs: usize) -> Self {
+        Program {
+            meta,
+            instrs: Vec::with_capacity(instrs),
+        }
+    }
+
     /// Appends an instruction.
     pub fn push(&mut self, class: OpClass, instr: Instr) {
         self.instrs.push(AnnotatedInstr { instr, class });

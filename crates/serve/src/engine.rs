@@ -658,8 +658,8 @@ pub struct ServingEngine<'a> {
     /// share entries — [`Backend::name`] must therefore identify the
     /// timing behaviour (model + cluster size), which every built-in
     /// implementation's name does. The token-boundary path does not use
-    /// it (step costs depend on batch state); its steppers memoize
-    /// per-run instead.
+    /// it (step costs depend on batch state); an appliance's steppers
+    /// read the appliance's own step-cost table instead.
     cache: MemoCache,
     /// Per-pool-slot interned memo id, precomputed at construction.
     server_ids: Vec<u32>,

@@ -55,8 +55,8 @@ pub struct RunningMember {
 /// batch, answered by the executing backend.
 ///
 /// Estimates come from the server's
-/// [`ContinuousStepper`](crate::ContinuousStepper) (memoized, charging
-/// nothing); capacity from the backend's
+/// [`ContinuousStepper`](crate::ContinuousStepper) (charging nothing);
+/// capacity from the backend's
 /// [`memory`](crate::Backend::memory) model. Backends without estimates
 /// return 0 (policies then degrade to greedy admission); backends
 /// without a memory model fit everything.

@@ -13,6 +13,7 @@
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
+use crate::steps::StepTable;
 use dfx_core::{CoreParams, StepTiming, TimingCore};
 use dfx_hw::PowerModel;
 use dfx_isa::{OpClass, ParallelConfig, ProgramBuilder};
@@ -155,8 +156,8 @@ enum Mode {
 pub struct Appliance {
     cfg: GptConfig,
     num_fpgas: usize,
-    builder: ProgramBuilder,
-    timing: TimingCore,
+    /// Every timing path's step costs, walked once per shape.
+    steps: StepTable,
     mode: Mode,
     /// Per-device HBM capacity in bytes (the U280's 8 GiB unless
     /// overridden by [`with_hbm_capacity`](Appliance::with_hbm_capacity)
@@ -215,8 +216,7 @@ impl Appliance {
         Ok(Appliance {
             cfg,
             num_fpgas,
-            builder,
-            timing: TimingCore::new(params, num_fpgas as u32),
+            steps: StepTable::new(builder, TimingCore::new(params, num_fpgas as u32)),
             mode: Mode::TimingOnly,
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
@@ -238,8 +238,10 @@ impl Appliance {
         Ok(Appliance {
             cfg,
             num_fpgas,
-            builder,
-            timing: TimingCore::new(CoreParams::default(), num_fpgas as u32),
+            steps: StepTable::new(
+                builder,
+                TimingCore::new(CoreParams::default(), num_fpgas as u32),
+            ),
             mode: Mode::Functional(Box::new(cluster)),
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
@@ -343,15 +345,43 @@ impl Appliance {
         self.num_fpgas
     }
 
-    /// The per-step program compiler (the batched path in `batch.rs`
-    /// drives it directly).
-    pub(crate) fn builder(&self) -> &ProgramBuilder {
-        &self.builder
+    /// The step-cost table every timing path reads (`batch.rs`,
+    /// `continuous.rs`).
+    pub(crate) fn steps(&self) -> &StepTable {
+        &self.steps
     }
 
-    /// The cycle model (shared with the batched path in `batch.rs`).
-    pub(crate) fn timing(&self) -> &TimingCore {
-        &self.timing
+    /// Distinct `(position, LM head, batch)` step shapes the cycle model
+    /// has walked on this appliance — the size of its step-cost table.
+    /// Every timing path ([`generate_timed`](Appliance::generate_timed),
+    /// [`generate_batch_timed`](Appliance::generate_batch_timed), every
+    /// [`BatchState`](crate::BatchState)) compiles and walks a shape on
+    /// its first use only, so this is the exact cycle-model work done so
+    /// far, whatever order or threads the runs used.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dfx_model::GptConfig;
+    /// use dfx_sim::Appliance;
+    ///
+    /// # fn main() -> Result<(), dfx_sim::SimError> {
+    /// let appliance = Appliance::timing_only(GptConfig::tiny(), 1)?;
+    /// appliance.generate_timed(8, 4)?;
+    /// // Positions 0..7 without the LM head, then 7..11 with it.
+    /// assert_eq!(appliance.timed_step_shapes(), 11);
+    /// // A second run walks only its new shapes: positions 3 and 4
+    /// // with the LM head.
+    /// appliance.generate_timed(4, 2)?;
+    /// assert_eq!(appliance.timed_step_shapes(), 13);
+    /// // Repeating a run walks nothing.
+    /// appliance.generate_timed(8, 4)?;
+    /// assert_eq!(appliance.timed_step_shapes(), 13);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn timed_step_shapes(&self) -> usize {
+        self.steps.len()
     }
 
     /// Times one workload without executing data (available in both
@@ -368,18 +398,7 @@ impl Appliance {
     ) -> Result<TimedRun, SimError> {
         let workload = Workload::new(input_len, output_len);
         self.check_workload(workload)?;
-
-        let mut summarization = StepTiming::zero();
-        for pos in 0..input_len {
-            let lm = pos + 1 == input_len && output_len > 0;
-            let program = self.builder.token_step(pos, lm);
-            summarization.accumulate(&self.timing.time_step(&program));
-        }
-        let mut generation = StepTiming::zero();
-        for out in 1..output_len {
-            let program = self.builder.token_step(input_len + out - 1, true);
-            generation.accumulate(&self.timing.time_step(&program));
-        }
+        let (summarization, generation) = self.steps.run(workload, 1);
         Ok(TimedRun {
             workload,
             summarization,

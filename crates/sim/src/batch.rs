@@ -167,18 +167,7 @@ impl Appliance {
             )));
         }
 
-        let b = batch.len() as u32;
-        let mut summarization = StepTiming::zero();
-        for pos in 0..padded.input_len {
-            let lm = pos + 1 == padded.input_len && padded.output_len > 0;
-            let program = self.builder().token_step(pos, lm);
-            summarization.accumulate(&self.timing().time_step_batched(&program, b));
-        }
-        let mut generation = StepTiming::zero();
-        for out in 1..padded.output_len {
-            let program = self.builder().token_step(padded.input_len + out - 1, true);
-            generation.accumulate(&self.timing().time_step_batched(&program, b));
-        }
+        let (summarization, generation) = self.steps().run(padded, batch.len() as u32);
         Ok(BatchedRun {
             workloads: batch.to_vec(),
             padded,

@@ -80,7 +80,6 @@ use crate::block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Pref
 use crate::error::SimError;
 use crate::kv::KvPool;
 use dfx_model::Workload;
-use std::collections::BTreeMap;
 
 /// Result of admitting one member into a running batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,8 +266,10 @@ impl KvView<'_> {
 /// prefills replay [`Appliance::generate_timed`]'s summarization loop,
 /// decode steps run one `token_step` program through
 /// [`dfx_core::TimingCore::time_step_batched`] at the live batch size.
-/// Step costs are memoized by `(position, batch)` so long request
-/// streams re-time each distinct step shape once. Admission reserves
+/// Step costs come from the appliance's step-cost table, keyed by
+/// `(position, LM head, batch)` and shared by every executor, engine
+/// and worker over the appliance, so each distinct step shape is
+/// walked once per appliance. Admission reserves
 /// each member's maximum K/V claim from the appliance's
 /// [`memory_model`](Appliance::memory_model) budget and fails with
 /// [`SimError::Memory`] when it does not fit.
@@ -308,14 +309,6 @@ pub struct BatchState<'a> {
     kv: KvBacking,
     /// Prefill chunk budget in tokens (`None`: whole-prefill admission).
     prefill_chunk: Option<usize>,
-    /// Decode-step cost by `(program position, live batch)`.
-    step_cache: BTreeMap<(usize, u32), f64>,
-    /// Whole-prefill cost by context length.
-    prefill_cache: BTreeMap<usize, f64>,
-    /// Per-position prefill step cycles by `(position, lm_head)` (the
-    /// chunked path's memo; chunk costs sum these like the unchunked
-    /// pass sums its positions).
-    pos_cycles: BTreeMap<(usize, bool), dfx_hw::Cycles>,
 }
 
 impl Appliance {
@@ -340,9 +333,6 @@ impl Appliance {
                 None => KvBacking::Reserved(KvPool::new(self.memory_model())),
             },
             prefill_chunk: None,
-            step_cache: BTreeMap::new(),
-            prefill_cache: BTreeMap::new(),
-            pos_cycles: BTreeMap::new(),
         }
     }
 }
@@ -394,33 +384,19 @@ impl BatchState<'_> {
 
     /// Estimated cost of the full prefill pass over `input_len` context
     /// tokens, ms — the serial stall an unchunked admission would add to
-    /// the shared timeline. Charges nothing; memoized with the admission
-    /// path's cache.
-    pub fn prefill_cost_ms(&mut self, input_len: usize) -> f64 {
-        if input_len == 0 {
-            return 0.0;
-        }
-        match self.prefill_cache.get(&input_len) {
-            Some(&ms) => ms,
-            None => {
-                let mut timing = dfx_core::StepTiming::zero();
-                for pos in 0..input_len {
-                    let lm = pos + 1 == input_len;
-                    let program = self.appliance.builder().token_step(pos, lm);
-                    timing.accumulate(&self.appliance.timing().time_step(&program));
-                }
-                let ms = timing.total.to_millis();
-                self.prefill_cache.insert(input_len, ms);
-                ms
-            }
-        }
+    /// the shared timeline. Charges nothing.
+    pub fn prefill_cost_ms(&self, input_len: usize) -> f64 {
+        self.appliance
+            .steps()
+            .prefill_cycles(input_len, 0..input_len)
+            .to_millis()
     }
 
     /// Estimated cost of one decode step at a hypothetical live batch of
     /// `batch` members, ms, positioned at the current largest live
     /// context (or the first decode position when the batch is empty).
-    /// Charges nothing; memoized with the decode path's cache.
-    pub fn decode_step_cost_ms(&mut self, batch: usize) -> f64 {
+    /// Charges nothing.
+    pub fn decode_step_cost_ms(&self, batch: usize) -> f64 {
         let pos = self
             .members
             .iter()
@@ -431,35 +407,12 @@ impl BatchState<'_> {
         self.decode_cost(pos, batch.max(1))
     }
 
-    fn decode_cost(&mut self, pos: usize, batch: usize) -> f64 {
-        match self.step_cache.get(&(pos, batch as u32)) {
-            Some(&ms) => ms,
-            None => {
-                let program = self.appliance.builder().token_step(pos, true);
-                let ms = self
-                    .appliance
-                    .timing()
-                    .time_step_batched(&program, batch as u32)
-                    .total
-                    .to_millis();
-                self.step_cache.insert((pos, batch as u32), ms);
-                ms
-            }
-        }
-    }
-
-    /// Cycles of one prefill position step (memoized for the chunked
-    /// path).
-    fn prefill_pos_cycles(&mut self, pos: usize, lm: bool) -> dfx_hw::Cycles {
-        match self.pos_cycles.get(&(pos, lm)) {
-            Some(&c) => c,
-            None => {
-                let program = self.appliance.builder().token_step(pos, lm);
-                let c = self.appliance.timing().time_step(&program).total;
-                self.pos_cycles.insert((pos, lm), c);
-                c
-            }
-        }
+    fn decode_cost(&self, pos: usize, batch: usize) -> f64 {
+        self.appliance
+            .steps()
+            .step(pos, true, batch as u32)
+            .total()
+            .to_millis()
     }
 
     /// Charges positions `from..to` of `workload`'s prefill (LM head on
@@ -467,12 +420,11 @@ impl BatchState<'_> {
     /// latter only arise when a recompute preemption replays decode
     /// output), returning the chunk's cost in ms.
     fn charge_prefill_chunk(&mut self, workload: Workload, from: usize, to: usize) -> f64 {
-        let mut cycles = dfx_hw::Cycles::ZERO;
-        for pos in from..to {
-            let lm = pos + 1 >= workload.input_len;
-            cycles += self.prefill_pos_cycles(pos, lm);
-        }
-        let ms = cycles.to_millis();
+        let ms = self
+            .appliance
+            .steps()
+            .prefill_cycles(workload.input_len, from..to)
+            .to_millis();
         self.elapsed_ms += ms;
         ms
     }
@@ -1317,7 +1269,7 @@ mod tests {
         b.step_token().unwrap();
         let first_chunk = b.admit(1, long).unwrap();
         assert!(first_chunk.pending_prefill == 88);
-        let mut whole = a.batch_state();
+        let whole = a.batch_state();
         let full_prefill = whole.prefill_cost_ms(long.input_len);
         let mut max_step = first_chunk.prefill_ms;
         while b.live() > 0 {
@@ -1386,5 +1338,46 @@ mod tests {
         // The estimate equals what admission then charges.
         let out = b.admit(0, Workload::new(16, 2)).unwrap();
         assert_eq!(out.prefill_ms, p);
+    }
+
+    /// One tick of a fixed admit / estimate / step / retire script,
+    /// logged with `{:?}` (which prints every `f64` exactly).
+    fn tick(b: &mut BatchState<'_>, t: usize, stride: usize, log: &mut Vec<String>) {
+        if t % 3 == 0 {
+            let w = Workload::new(3 + (t * stride) % 17, 1 + (t + stride) % 6);
+            log.push(format!("{:?}", b.admit(t as u64, w)));
+        }
+        log.push(format!("{:?}", b.prefill_cost_ms(4 + t % 9)));
+        log.push(format!("{:?}", b.decode_step_cost_ms(1 + t % 4)));
+        log.push(format!("{:?}", b.step_token()));
+        log.push(format!("{:?} {:?}", b.retire(), b.elapsed_ms()));
+    }
+
+    #[test]
+    fn executors_sharing_an_appliance_match_executors_on_fresh_ones() {
+        // Two executors interleave over one appliance's step-cost table —
+        // one admitting whole prefills, one chunking them — and must
+        // report exactly what each reports alone on a fresh appliance.
+        let run = |a: &mut BatchState<'_>, b: &mut BatchState<'_>| {
+            b.set_prefill_chunk(Some(4));
+            let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
+            for t in 0..40 {
+                tick(a, t, 3, &mut log_a);
+                tick(b, t, 5, &mut log_b);
+            }
+            (log_a, log_b)
+        };
+        let shared = appliance();
+        let (shared_a, shared_b) = run(&mut shared.batch_state(), &mut shared.batch_state());
+        let (fresh_a, fresh_b) = (appliance(), appliance());
+        let (alone_a, _) = run(&mut fresh_a.batch_state(), &mut appliance().batch_state());
+        let (_, alone_b) = run(&mut appliance().batch_state(), &mut fresh_b.batch_state());
+        assert_eq!(shared_a, alone_a);
+        assert_eq!(shared_b, alone_b);
+        // The shared table walked each shape once: no more than the two
+        // fresh tables together, and at least the larger of them.
+        let (n_a, n_b) = (fresh_a.timed_step_shapes(), fresh_b.timed_step_shapes());
+        let n = shared.timed_step_shapes();
+        assert!(n >= n_a.max(n_b) && n <= n_a + n_b, "{n} vs {n_a} + {n_b}");
     }
 }

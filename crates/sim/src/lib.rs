@@ -32,6 +32,7 @@ mod error;
 mod gflops;
 mod kv;
 mod pipeline;
+mod steps;
 
 pub use accuracy::{paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyTask};
 pub use appliance::{Appliance, GenerationRun, LatencyBreakdown, TimedRun};

@@ -35,9 +35,10 @@
 
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
-    ArrivalProcess, Backend, Batching, ClusterReport, ClusterRouter, ContinuousBatching,
-    ContinuousStepper, Fifo, LeastKvLoaded, LeastOutstanding, Placement, ReplicaSnapshot,
-    RoundRobin, RoutedRequest, RunReport, Scheduler, ServingEngine, SessionAffinity, StepEvent,
+    AdmissionProbe, ArrivalProcess, Backend, Batching, ClusterReport, ClusterRouter,
+    ContinuousBatching, ContinuousStepper, Fifo, LeastKvLoaded, LeastOutstanding, Placement,
+    ReplicaSnapshot, Request, RoundRobin, RoutedRequest, RunReport, RunningMember, Scheduler,
+    ServingEngine, SessionAffinity, StepEvent,
 };
 use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 use proptest::prelude::*;
@@ -219,6 +220,47 @@ fn capped_appliances(n: usize) -> Vec<Appliance> {
             base.with_hbm_capacity(capacity).unwrap()
         })
         .collect()
+}
+
+/// Continuous batching that holds an idle server for a batch-mate: it
+/// admits nothing on an empty server until the queue head has waited
+/// `hold_ms`, and stops holding at `release_ms`. The engine records
+/// each hold as an idle decline; on a replica stream advanced only to
+/// the latest arrival, with no later request pushed yet, the decline is
+/// stashed until the next push to that replica or finalization.
+struct HoldIdle {
+    inner: ContinuousBatching,
+    hold_ms: f64,
+    release_ms: f64,
+}
+
+impl Scheduler for HoldIdle {
+    fn name(&self) -> &str {
+        "hold-idle"
+    }
+    fn pick(&mut self, queue: &[Request], now_ms: f64) -> usize {
+        self.inner.pick(queue, now_ms)
+    }
+    fn is_continuous(&self) -> bool {
+        true
+    }
+    fn admit(
+        &mut self,
+        running: &[RunningMember],
+        queue: &[Request],
+        now_ms: f64,
+        probe: &mut dyn AdmissionProbe,
+    ) -> Vec<usize> {
+        let holding = running.is_empty()
+            && now_ms < self.release_ms
+            && queue
+                .first()
+                .is_some_and(|q| now_ms < q.arrival_ms + self.hold_ms);
+        if holding {
+            return Vec::new();
+        }
+        self.inner.admit(running, queue, now_ms, probe)
+    }
 }
 
 /// Each replica's report equals a fresh single-replica engine run over
@@ -457,6 +499,58 @@ proptest! {
         replicas_match_fresh_substream_runs(&report, &servers, || {
             scheduler(kind, max_batch, max_wait_ms)
         })?;
+    }
+
+    /// Idle declines on a streamed replica are stashed, not guessed:
+    /// under a load-aware placement every replica is advanced to each
+    /// arrival, so a replica holding its only queued request declines
+    /// with no later request of its own pushed yet. Each replica report
+    /// must still equal a fresh engine run over its sub-stream. The
+    /// trace ends with a burst at `release_ms`, large enough that every
+    /// replica receives a request of it, so every hold is released.
+    #[test]
+    fn stashed_idle_declines_resolve_like_fresh_runs(
+        workloads in arb_workloads(),
+        gaps in proptest::collection::vec(0.0f64..30.0, 32),
+        (max_batch, hold_ms) in (1usize..5, 0.5f64..40.0),
+        replicas in 1usize..5,
+        kv_aware in any::<bool>(),
+    ) {
+        let backends: Vec<UnitBackend> = (0..replicas).map(|_| UnitBackend).collect();
+        let servers: Vec<&dyn Backend> = backends.iter().map(|b| b as &dyn Backend).collect();
+        let mut times: Vec<f64> = gaps[..workloads.len()]
+            .iter()
+            .scan(0.0, |t, gap| {
+                *t += gap;
+                Some(*t)
+            })
+            .collect();
+        let release_ms = times.last().copied().unwrap_or(0.0) + 1.0;
+        // Least-outstanding placement fills replicas level by level, and
+        // no replica holds more than `workloads.len()` requests.
+        let burst = replicas * (workloads.len() + 1);
+        let mut stream = workloads.clone();
+        stream.extend(std::iter::repeat_n(Workload::new(1, 1), burst));
+        times.extend(std::iter::repeat_n(release_ms, burst));
+        let hold = move || -> Box<dyn Scheduler> {
+            Box::new(HoldIdle {
+                inner: ContinuousBatching::new(max_batch),
+                hold_ms,
+                release_ms,
+            })
+        };
+        let placement: Box<dyn Placement> = if kv_aware {
+            Box::new(LeastKvLoaded)
+        } else {
+            Box::new(LeastOutstanding)
+        };
+        let report = ClusterRouter::uniform(servers.clone(), placement)
+            .unwrap()
+            .with_scheduler_factory(hold)
+            .run(&stream, &ArrivalProcess::Trace(times))
+            .unwrap();
+        prop_assert_eq!(report.responses.len(), stream.len());
+        replicas_match_fresh_substream_runs(&report, &servers, hold)?;
     }
 }
 

@@ -7,8 +7,8 @@
 
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
-    ArrivalProcess, Backend, ContinuousBatching, ContinuousStepper, RunReport, ServingEngine,
-    StepEvent,
+    ArrivalProcess, Backend, Batching, ContinuousBatching, ContinuousStepper, RunReport,
+    ServingEngine, StepEvent,
 };
 use dfx::sim::SimError;
 use proptest::prelude::*;
@@ -582,6 +582,38 @@ fn continuous_invariants_hold_on_a_real_appliance() {
         assert!((f.start_ms - c.start_ms).abs() <= 1e-6 * f.start_ms.max(1.0));
         assert!((f.finish_ms - c.finish_ms).abs() <= 1e-6 * f.finish_ms.max(1.0));
     }
+}
+
+/// Engines over one appliance share its step-cost table: a run that
+/// finds the table warm from another run must report exactly what it
+/// reports on a fresh appliance.
+#[test]
+fn engine_runs_sharing_an_appliance_match_runs_on_fresh_ones() {
+    let fresh = || dfx::sim::Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+    let workloads: Vec<Workload> = (0..16)
+        .map(|i| Workload::new(4 + (i * 5) % 13, 2 + i % 5))
+        .collect();
+    let arrivals = ArrivalProcess::Poisson {
+        rate_per_s: 40.0,
+        seed: 7,
+    };
+    let continuous = |appliance: &dfx::sim::Appliance| {
+        ServingEngine::new(appliance)
+            .with_scheduler(Box::new(ContinuousBatching::new(3)))
+            .run(&workloads, &arrivals)
+            .unwrap()
+    };
+    let batched = |appliance: &dfx::sim::Appliance| {
+        ServingEngine::new(appliance)
+            .with_scheduler(Box::new(Batching::new(2, 5.0)))
+            .run(&workloads, &arrivals)
+            .unwrap()
+    };
+    let shared = fresh();
+    let shared_runs = (continuous(&shared), batched(&shared), continuous(&shared));
+    assert_eq!(shared_runs.0, continuous(&fresh()));
+    assert_eq!(shared_runs.1, batched(&fresh()));
+    assert_eq!(shared_runs.2, shared_runs.0);
 }
 
 /// The same invariants hold end to end with a real cycle-model backend.
