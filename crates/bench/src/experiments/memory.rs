@@ -7,8 +7,8 @@
 //! continuously, every live request claims `kv bytes/token × (input +
 //! output)` next to the weights, and capacity — not padded shape —
 //! bounds the live batch ([`Backend::memory`],
-//! [`dfx_sim::KvPool`](dfx_sim::KvPool)). This experiment measures that
-//! memory layer end to end on the DFX appliance, in four sweeps:
+//! [`dfx_sim::BlockPool`](dfx_sim::BlockPool)). This experiment measures
+//! that memory layer end to end on the DFX appliance, in four sweeps:
 //!
 //! 1. **HBM capacity × saturating backlog** — the peak live batch
 //!    tracks how many K/V claims fit next to the weight shard, not the

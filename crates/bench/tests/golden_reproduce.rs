@@ -1,11 +1,11 @@
 //! Golden `reproduce` reports.
 //!
-//! `golden/<id>.md` is exactly what `reproduce <id>` prints on stdout
-//! for the paper-scale ids whose every number is simulated: `fig14`,
-//! `serving`, `batching` and `continuous`. Each test re-renders one id
-//! and compares it byte for byte, so a change that moves any simulated
-//! latency, throughput or table cell fails here rather than in a manual
-//! diff of `reproduce all`.
+//! `golden/<id>.md` is exactly what `reproduce <id>` prints on stdout,
+//! for every catalog id except `accuracy` (the one slow id, which runs
+//! the functional model over its task sets). Each test re-renders one id and compares it byte for byte,
+//! so a change that moves any simulated latency, throughput, table cell
+//! or allocator row (the `memory` sweep's reserved and paged rows)
+//! fails here rather than in a manual diff of `reproduce all`.
 //!
 //! An intended change to one of these reports regenerates them with
 //!
@@ -36,22 +36,32 @@ fn check(id: &str, golden: &str) {
     assert_eq!(actual, golden, "{id}: report length or line endings differ");
 }
 
-#[test]
-fn fig14_report_matches_the_golden_file() {
-    check("fig14", include_str!("golden/fig14.md"));
+/// One test per golden id: `name => "id"` checks `golden/<id>.md`.
+macro_rules! golden_tests {
+    ($($name:ident => $id:literal,)*) => {$(
+        #[test]
+        fn $name() {
+            check($id, include_str!(concat!("golden/", $id, ".md")));
+        }
+    )*};
 }
 
-#[test]
-fn serving_report_matches_the_golden_file() {
-    check("serving", include_str!("golden/serving.md"));
-}
-
-#[test]
-fn batching_report_matches_the_golden_file() {
-    check("batching", include_str!("golden/batching.md"));
-}
-
-#[test]
-fn continuous_report_matches_the_golden_file() {
-    check("continuous", include_str!("golden/continuous.md"));
+golden_tests! {
+    table1_report_matches_the_golden_file => "table1",
+    fig3_report_matches_the_golden_file => "fig3",
+    fig4_report_matches_the_golden_file => "fig4",
+    fig8_report_matches_the_golden_file => "fig8",
+    fig13_report_matches_the_golden_file => "fig13",
+    fig14_report_matches_the_golden_file => "fig14",
+    fig15_report_matches_the_golden_file => "fig15",
+    fig16_report_matches_the_golden_file => "fig16",
+    fig17_report_matches_the_golden_file => "fig17",
+    fig18_report_matches_the_golden_file => "fig18",
+    table2_report_matches_the_golden_file => "table2",
+    ablation_report_matches_the_golden_file => "ablation",
+    serving_report_matches_the_golden_file => "serving",
+    batching_report_matches_the_golden_file => "batching",
+    continuous_report_matches_the_golden_file => "continuous",
+    memory_report_matches_the_golden_file => "memory",
+    cluster_report_matches_the_golden_file => "cluster",
 }

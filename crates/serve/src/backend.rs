@@ -336,19 +336,9 @@ impl Backend for Appliance {
         // HBM budget — the same checks generate_batch_timed enforces.
         let input = batch.iter().map(|w| w.input_len).max().unwrap_or(0);
         let output = batch.iter().map(|w| w.output_len).max().unwrap_or(0);
-        let kv_fits = match self.kv_paging() {
-            // Block granularity: members of a static batch all peak
-            // together, so paging rounds each padded footprint up to
-            // whole blocks (generate_batch_timed enforces the same).
-            Some(paging) => {
-                let memory = self.memory_model();
-                let per_member = (input + output).div_ceil(paging.block_tokens);
-                let total = memory.max_resident_tokens() as usize / paging.block_tokens;
-                batch.len() * per_member <= total
-            }
-            None => padded_kv_fits(&self.memory_model(), batch),
-        };
-        !batch.is_empty() && input + output <= self.config().max_seq_len && kv_fits
+        !batch.is_empty()
+            && input + output <= self.config().max_seq_len
+            && self.static_batch_kv_fits(batch.len(), input + output)
     }
 
     fn continuous(&self) -> Option<Box<dyn ContinuousStepper + '_>> {

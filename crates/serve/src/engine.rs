@@ -1063,7 +1063,7 @@ impl<'a> ServingEngine<'a> {
             .min_by(|&a, &b| st.free_at[a].total_cmp(&st.free_at[b]))
             .ok_or_else(|| SimError::Service("backend pool is empty".into()))?;
 
-        if st.queue.is_empty() {
+        let Some(head_arrival) = st.queue.first().map(|r| r.arrival_ms) else {
             // Idle system: jump to the next submission. The jump itself
             // is timeless, but gate it on the post-jump decision
             // instant so a blocked stream's state is untouched.
@@ -1081,9 +1081,7 @@ impl<'a> ServingEngine<'a> {
                 arrival_ms,
             });
             return Ok(StepOutcome::Progressed);
-        }
-
-        let head_arrival = st.queue.first().expect("queue is non-empty").arrival_ms;
+        };
         let now = st.free_at[server].max(head_arrival).max(st.wake_ms);
         if horizon.is_some_and(|t| now >= t) {
             return Ok(StepOutcome::Blocked);

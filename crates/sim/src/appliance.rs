@@ -164,8 +164,8 @@ pub struct Appliance {
     /// for capacity sweeps).
     hbm_capacity_bytes: u64,
     /// Paged K/V allocation, when enabled by
-    /// [`with_kv_paging`](Appliance::with_kv_paging); `None` keeps the
-    /// reserved [`KvPool`](crate::KvPool) path.
+    /// [`with_kv_paging`](Appliance::with_kv_paging); `None` keeps
+    /// max-claim reservation ([`BlockPool::reserve`](crate::BlockPool::reserve)).
     kv_paging: Option<crate::PagedKvConfig>,
 }
 
@@ -252,7 +252,7 @@ impl Appliance {
     /// `memory` experiment's capacity sweeps; the default is the U280's
     /// 8 GiB). The override only moves the *K/V budget* consulted by
     /// [`memory_model`](Appliance::memory_model), the incremental
-    /// executor's [`KvPool`](crate::KvPool) and the batched path; the
+    /// executor's [`BlockPool`](crate::BlockPool) and the batched path; the
     /// paper's single-request timing paths are untouched.
     ///
     /// # Errors
@@ -280,9 +280,9 @@ impl Appliance {
     /// prompt rather than reserving the whole `input + output` claim,
     /// K/V grows page by page, exhaustion preempts under
     /// `cfg`'s [`PreemptionPolicy`](crate::PreemptionPolicy), and a
-    /// non-zero `shared_prefix_tokens` enables the prefix cache. The
-    /// reserved [`KvPool`](crate::KvPool) path stays the default — and
-    /// stays bit-identical — when this is never called.
+    /// non-zero `shared_prefix_tokens` enables the prefix cache. Max-claim
+    /// reservation ([`BlockPool::reserve`](crate::BlockPool::reserve) at
+    /// 1-token blocks) stays the default when this is never called.
     ///
     /// # Errors
     ///

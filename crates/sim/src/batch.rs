@@ -101,6 +101,28 @@ impl BatchedRun {
 }
 
 impl Appliance {
+    /// Whether a static batch of `members` members, each caching
+    /// `padded_tokens` context positions, fits the per-device K/V budget.
+    /// Every member's cache grows at the padded shape and all of them
+    /// peak together, so the check is the joint claim at the K/V
+    /// allocator's block granularity (the paged block size, or 1 token
+    /// under max-claim reservation): each footprint rounds up to whole
+    /// blocks, and only whole blocks of the budget count. The one check
+    /// behind both [`generate_batch_timed`](Appliance::generate_batch_timed)
+    /// and the serving layer's batch-feasibility probe.
+    pub fn static_batch_kv_fits(&self, members: usize, padded_tokens: usize) -> bool {
+        let bt = self.kv_block_tokens();
+        let blocks = self.memory_model().max_resident_tokens() as usize / bt;
+        members * padded_tokens.div_ceil(bt) <= blocks
+    }
+
+    /// The K/V allocator's block size in tokens: the paged block size
+    /// under [`with_kv_paging`](Appliance::with_kv_paging), otherwise 1
+    /// (max-claim reservation counts whole tokens).
+    pub(crate) fn kv_block_tokens(&self) -> usize {
+        self.kv_paging().map_or(1, |c| c.block_tokens)
+    }
+
     /// Times one coalesced batch of workloads (available in both modes,
     /// like [`generate_timed`]).
     ///
@@ -137,32 +159,16 @@ impl Appliance {
         // The padded shape is what actually executes; validating it also
         // covers every member.
         self.check_workload(padded)?;
-        // Every member's K/V cache grows at the padded shape, and all of
-        // them are resident at once on each device. Under paged K/V the
-        // same static claim is checked at block granularity (members all
-        // peak together here, so paging only rounds each member's
-        // footprint up to whole blocks).
-        let memory = self.memory_model();
-        let claim_tokens = batch.len() * padded.total_steps();
-        if let Some(paging) = self.kv_paging() {
-            let per_member = padded.total_steps().div_ceil(paging.block_tokens);
-            let total = memory.max_resident_tokens() as usize / paging.block_tokens;
-            if batch.len() * per_member > total {
-                return Err(SimError::Memory(format!(
-                    "a {}-way batch padded to {padded} claims {} K/V blocks of {} tokens, \
-                     over the pool's {total}",
-                    batch.len(),
-                    batch.len() * per_member,
-                    paging.block_tokens,
-                )));
-            }
-        }
-        if !memory.fits_tokens(claim_tokens) {
+        if !self.static_batch_kv_fits(batch.len(), padded.total_steps()) {
+            let memory = self.memory_model();
+            let claim_tokens = batch.len() * padded.total_steps();
             return Err(SimError::Memory(format!(
                 "a {}-way batch padded to {padded} claims {claim_tokens} tokens of K/V \
-                 ({:.1} MB), over the {:.1} MB HBM budget left by the weight shard",
+                 ({:.1} MB) in {}-token blocks, over the {:.1} MB HBM budget left by the \
+                 weight shard",
                 batch.len(),
                 memory.kv_claim_bytes(claim_tokens) as f64 / 1e6,
+                self.kv_block_tokens(),
                 memory.kv_budget_bytes() as f64 / 1e6,
             )));
         }

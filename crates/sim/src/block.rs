@@ -1,25 +1,41 @@
-//! Paged K/V allocation: the block-table allocator and the prefix cache.
+//! The K/V allocator: HBM admission control for multi-request
+//! execution, with block tables and a prefix cache.
 //!
-//! [`KvPool`](crate::KvPool) reserves every member's worst-case
-//! `input + output` claim at admission, so HBM that the member will only
-//! touch hundreds of decode steps from now sits idle today. [`BlockPool`]
-//! recovers that headroom the way vLLM/TGI paged attention does
-//! (`conceptual/paged_attention`): the K/V budget is carved into
-//! fixed-size *blocks* of [`block_tokens`](BlockPool::block_tokens)
-//! context positions, admission takes only the blocks the member's
-//! *prompt* needs, and decode grows the member's block table page by
-//! page as positions are actually written. The price is twofold and
-//! both halves are modelled:
+//! Each U280's HBM holds the core's weight shard *and* the growing K/V
+//! attention state of every live request (paper §IV-B), so the live
+//! batch is bounded by memory, not only by padded shape. [`BlockPool`]
+//! brokers that budget for the incremental executor
+//! ([`BatchState`](crate::BatchState)), carving it into fixed-size
+//! *blocks* of [`block_tokens`](BlockPool::block_tokens) context
+//! positions. A member joins in one of two admission modes:
 //!
-//! - **internal fragmentation** — a member's last block is partially
-//!   filled ([`fragmentation_tokens`](BlockPool::fragmentation_tokens)
-//!   totals the waste), and the budget's tail that doesn't fill a whole
-//!   block is unusable;
-//! - **preemption** — because admission no longer covers the worst case,
-//!   a [`write`](BlockPool::write) can find the pool exhausted. The
-//!   executor then [`evict`](BlockPool::evict)s a victim and either
-//!   *recomputes* its K/V later or *retains* it in DDR and swaps it
-//!   back ([`PreemptionPolicy`]).
+//! - **max-claim reservation** ([`reserve`](BlockPool::reserve), the
+//!   executor's default, at 1-token blocks): the blocks for the
+//!   member's whole `input + output` claim are taken at admission
+//!   (TGI-style budgeting), so its later writes never allocate, never
+//!   fail for capacity, and a later admission can never evict it
+//!   mid-decode. The price is HBM that the member will only touch
+//!   hundreds of decode steps from now sitting idle today.
+//! - **paged admission** ([`admit`](BlockPool::admit), under
+//!   [`Appliance::with_kv_paging`](crate::Appliance::with_kv_paging)):
+//!   recovers that headroom the way vLLM/TGI paged attention does
+//!   (`conceptual/paged_attention`) — admission takes only the blocks
+//!   the member's *prompt* needs, and decode grows the member's block
+//!   table page by page as positions are actually written. The price is
+//!   twofold and both halves are modelled:
+//!   - **internal fragmentation** — a member's last block is partially
+//!     filled ([`fragmentation_tokens`](BlockPool::fragmentation_tokens)
+//!     totals the waste), and the budget's tail that doesn't fill a
+//!     whole block is unusable;
+//!   - **preemption** — because admission no longer covers the worst
+//!     case, a [`write`](BlockPool::write) can find the pool exhausted.
+//!     The executor then [`evict`](BlockPool::evict)s a victim and
+//!     either *recomputes* its K/V later or *retains* it in DDR and
+//!     swaps it back ([`PreemptionPolicy`]).
+//!
+//! At 1-token blocks one block is one token, so the reserved mode's
+//! committed and free figures are whole claims, exactly as token-level
+//! budgeting counts them.
 //!
 //! On top of blocks sits a **prefix cache**: requests that share a
 //! common prompt prefix (a chatbot system prompt) share the K/V blocks
@@ -32,9 +48,10 @@
 //!
 //! The allocator is pinned by an invariant suite (`tests/kv_paging.rs`):
 //! block conservation (`free + cached + owned == total` at every step),
-//! exact frees, and prefix ref-count soundness are enforced by
+//! exact frees, reserved footprints of exactly the whole claim, and
+//! prefix ref-count soundness are enforced by
 //! [`assert_invariants`](BlockPool::assert_invariants) under random
-//! admit/write/evict/release interleavings.
+//! reserve/admit/write/evict/release interleavings.
 
 use crate::error::SimError;
 use dfx_hw::MemoryModel;
@@ -170,9 +187,13 @@ impl PagingStats {
 /// One member's block-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockLease {
-    /// Worst-case claim in tokens (`input + output`): the solo-fit bound
-    /// and the write ceiling, *not* an up-front reservation.
+    /// Worst-case claim in tokens (`input + output`): the write ceiling,
+    /// and either the solo-fit bound (paged) or the blocks taken up
+    /// front (reserved).
     claim_tokens: usize,
+    /// Admitted by [`BlockPool::reserve`]: holds `blocks_for(claim)`
+    /// blocks for its whole life and is never evicted.
+    reserved: bool,
     /// Context positions materialised so far (cache hits included).
     used_tokens: usize,
     /// Blocks held exclusively by this member.
@@ -185,11 +206,13 @@ struct BlockLease {
     shareable_tokens: usize,
 }
 
-/// A paged K/V allocator over one device's [`MemoryModel`]: a block
-/// table with on-demand growth, preemption support and a ref-counted
-/// prefix cache.
+/// A K/V allocator over one device's [`MemoryModel`]: a block table
+/// with max-claim reservation or on-demand growth, preemption support
+/// and a ref-counted prefix cache.
 ///
-/// Admission ([`admit`](BlockPool::admit)) takes blocks for the
+/// Reserved admission ([`reserve`](BlockPool::reserve)) takes blocks
+/// for the member's whole claim. Paged admission
+/// ([`admit`](BlockPool::admit)) takes blocks for the
 /// member's *first write* (its prompt, or its first prefill chunk) —
 /// not its worst case — checking only that the worst case could fit an
 /// *empty* pool (solo feasibility, so a lone member can always run to
@@ -247,6 +270,23 @@ struct BlockLease {
 /// pool.release(1);
 /// assert_eq!(pool.cached_blocks(), 2);
 /// assert_eq!(pool.prefix_hits(sys), 32);
+/// ```
+///
+/// Max-claim reservation at 1-token blocks, where one block is one
+/// token:
+///
+/// ```
+/// use dfx_hw::MemoryModel;
+/// use dfx_sim::BlockPool;
+///
+/// // Room for 102 tokens of K/V next to the weights.
+/// let mut pool = BlockPool::new(MemoryModel::new(2048, 1024, 10), 1);
+/// assert_eq!(pool.free_tokens(), 102);
+/// pool.reserve(0, 60).unwrap();
+/// assert!(pool.reserve(1, 60).is_err(), "claim exceeds the free budget");
+/// pool.reserve(1, 40).unwrap();
+/// assert_eq!(pool.release(0), 60);
+/// assert_eq!(pool.free_tokens(), 62);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockPool {
@@ -415,16 +455,7 @@ impl BlockPool {
         first_write: usize,
         prefix: Option<Prefix>,
     ) -> Result<usize, SimError> {
-        if claim_tokens == 0 {
-            return Err(SimError::InvalidRequest(
-                "a K/V lease must claim at least one token".into(),
-            ));
-        }
-        if self.leases.contains_key(&id) {
-            return Err(SimError::InvalidRequest(format!(
-                "member {id} already holds a K/V lease"
-            )));
-        }
+        self.check_new_lease(id, claim_tokens)?;
         if self.blocks_for(claim_tokens) > self.total_blocks {
             return Err(SimError::Memory(format!(
                 "a claim of {claim_tokens} tokens needs {} blocks of {}; the whole pool has {}",
@@ -474,6 +505,7 @@ impl BlockPool {
             id,
             BlockLease {
                 claim_tokens,
+                reserved: false,
                 used_tokens: hit_tokens,
                 owned_blocks: 0,
                 shared_blocks: hit_blocks,
@@ -488,6 +520,65 @@ impl BlockPool {
         }
         self.note_peaks();
         Ok(hit_tokens)
+    }
+
+    /// Admits member `id` under max-claim reservation: takes the blocks
+    /// for its whole `claim_tokens` now, so its later
+    /// [`write`](BlockPool::write)s within the claim never allocate and
+    /// never fail for capacity, and [`evict`](BlockPool::evict) refuses
+    /// it. [`release`](BlockPool::release) frees the whole claim however
+    /// much of it was written.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Memory`] when the claim needs more blocks than are
+    /// free or evictable (admission must wait for a retirement), and
+    /// [`SimError::InvalidRequest`] for a zero claim or an id that
+    /// already holds a lease.
+    pub fn reserve(&mut self, id: u64, claim_tokens: usize) -> Result<(), SimError> {
+        self.check_new_lease(id, claim_tokens)?;
+        let blocks = self.blocks_for(claim_tokens);
+        if blocks > self.available_blocks() {
+            return Err(SimError::Memory(format!(
+                "K/V claim of {claim_tokens} tokens ({} B) needs {blocks} blocks of {}; only {} \
+                 of the {} after the weight shard are available",
+                self.memory.kv_claim_bytes(claim_tokens),
+                self.block_tokens,
+                self.available_blocks(),
+                self.total_blocks,
+            )));
+        }
+        self.take_blocks(blocks);
+        self.leases.insert(
+            id,
+            BlockLease {
+                claim_tokens,
+                reserved: true,
+                used_tokens: 0,
+                owned_blocks: blocks,
+                shared_blocks: 0,
+                prefix_key: 0,
+                shareable_tokens: 0,
+            },
+        );
+        self.note_peaks();
+        Ok(())
+    }
+
+    /// The checks every new lease passes: a non-zero claim and an id not
+    /// already holding one.
+    fn check_new_lease(&self, id: u64, claim_tokens: usize) -> Result<(), SimError> {
+        if claim_tokens == 0 {
+            return Err(SimError::InvalidRequest(
+                "a K/V lease must claim at least one token".into(),
+            ));
+        }
+        if self.leases.contains_key(&id) {
+            return Err(SimError::InvalidRequest(format!(
+                "member {id} already holds a K/V lease"
+            )));
+        }
+        Ok(())
     }
 
     /// Whether member `id` could [`write`](BlockPool::write) `tokens`
@@ -530,7 +621,7 @@ impl BlockPool {
     }
 
     fn write_impl(&mut self, id: u64, tokens: usize, computed: bool) -> Result<(), SimError> {
-        let lease = self.leases.get(&id).copied().ok_or_else(|| {
+        let lease = self.leases.get_mut(&id).ok_or_else(|| {
             SimError::InvalidRequest(format!("member {id} holds no K/V lease to grow"))
         })?;
         let new_used = lease.used_tokens + tokens;
@@ -540,6 +631,14 @@ impl BlockPool {
                 lease.claim_tokens
             )));
         }
+        if lease.reserved {
+            // The whole claim's blocks were taken at reservation: there
+            // is nothing to allocate or publish, and no peak can rise
+            // (fragmentation only shrinks as the claim fills).
+            lease.used_tokens = new_used;
+            return Ok(());
+        }
+        let lease = *lease;
         let have = lease.owned_blocks + lease.shared_blocks;
         let delta = self.blocks_for(new_used).saturating_sub(have);
         if delta > self.available_blocks() {
@@ -645,11 +744,17 @@ impl BlockPool {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidRequest`] for an unknown id.
+    /// [`SimError::InvalidRequest`] for an unknown id or a reserved
+    /// lease (reservation is exactly the promise never to preempt).
     pub fn evict(&mut self, id: u64) -> Result<(usize, usize), SimError> {
         let lease = self.leases.get_mut(&id).ok_or_else(|| {
             SimError::InvalidRequest(format!("member {id} holds no K/V lease to evict"))
         })?;
+        if lease.reserved {
+            return Err(SimError::InvalidRequest(format!(
+                "member {id} holds a reserved K/V lease, which is never preempted"
+            )));
+        }
         let used = lease.used_tokens;
         let owned = lease.owned_blocks;
         let shared = lease.shared_blocks;
@@ -740,8 +845,10 @@ impl BlockPool {
     /// - **block conservation**: free + cached + Σ owned == total;
     /// - **ref-count soundness**: Σ cache refs == Σ members' shared
     ///   blocks (references never leak or go negative);
-    /// - **footprint exactness**: every member holds exactly the blocks
-    ///   its materialised positions need, within its claim.
+    /// - **footprint exactness**: every paged member holds exactly the
+    ///   blocks its materialised positions need, and every reserved
+    ///   member exactly the blocks its whole claim needs, within its
+    ///   claim.
     pub fn assert_invariants(&self) {
         let owned: usize = self.leases.values().map(|l| l.owned_blocks).sum();
         assert_eq!(
@@ -772,7 +879,9 @@ impl BlockPool {
                 l.shared_blocks * self.block_tokens <= l.used_tokens || l.used_tokens == 0,
                 "member {id} shares blocks beyond its writes"
             );
-            let footprint = if l.used_tokens == 0 {
+            let footprint = if l.reserved {
+                self.blocks_for(l.claim_tokens)
+            } else if l.used_tokens == 0 {
                 0
             } else {
                 self.blocks_for(l.used_tokens)
@@ -780,9 +889,10 @@ impl BlockPool {
             assert_eq!(
                 l.owned_blocks + l.shared_blocks,
                 footprint,
-                "member {id} holds {} blocks for {} used tokens",
+                "member {id} holds {} blocks for {} used tokens of a {}-token claim",
                 l.owned_blocks + l.shared_blocks,
                 l.used_tokens,
+                l.claim_tokens,
             );
             for i in 0..l.shared_blocks {
                 assert!(
@@ -928,6 +1038,73 @@ mod tests {
         assert_eq!(p.lease_blocks(0), Some((0, 1)));
         assert_eq!(p.lease_blocks(1), Some((0, 1)));
         p.assert_invariants();
+    }
+
+    // --- Max-claim reservation ---------------------------------------
+
+    /// A 1-token-block pool of `budget_tokens` (1 B of weights keeps
+    /// the arithmetic trivial: budget = tokens = blocks).
+    fn reserved_pool(budget_tokens: u64) -> BlockPool {
+        BlockPool::new(MemoryModel::new(budget_tokens + 1, 1, 1), 1)
+    }
+
+    #[test]
+    fn reservations_never_exceed_the_budget() {
+        let mut p = reserved_pool(10);
+        p.reserve(0, 6).unwrap();
+        assert!(matches!(p.reserve(1, 5), Err(SimError::Memory(_))));
+        p.reserve(1, 4).unwrap();
+        assert_eq!(p.free_tokens(), 0);
+        assert_eq!(p.committed_tokens(), 10);
+        assert!(matches!(p.reserve(2, 1), Err(SimError::Memory(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn release_mid_prefill_frees_the_whole_claim_exactly_once() {
+        // The early-cancel path: a member retired between prefill
+        // chunks frees its whole reservation in one call — release
+        // returns the claim, not the written prefix — and a second
+        // release is a no-op, not a double-free.
+        let mut p = reserved_pool(10);
+        p.reserve(0, 8).unwrap();
+        p.write(0, 3).unwrap();
+        assert_eq!(p.release(0), 8, "frees the claim, not the 3 written tokens");
+        assert_eq!(p.free_tokens(), 10);
+        assert_eq!(p.committed_tokens(), 0);
+        assert_eq!(p.release(0), 0, "second release frees nothing");
+        assert!(matches!(p.write(0, 1), Err(SimError::InvalidRequest(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn release_frees_exactly_the_claim() {
+        let mut p = reserved_pool(10);
+        p.reserve(7, 6).unwrap();
+        p.write(7, 3).unwrap(); // partial use does not shrink the claim
+        assert_eq!(p.release(7), 6);
+        assert_eq!(p.free_tokens(), 10);
+        assert_eq!(p.used_tokens(), 0);
+        assert_eq!(p.release(7), 0, "double release frees nothing");
+    }
+
+    #[test]
+    fn growth_is_bounded_by_the_claim() {
+        let mut p = reserved_pool(10);
+        p.reserve(0, 4).unwrap();
+        p.write(0, 4).unwrap();
+        assert!(matches!(p.write(0, 1), Err(SimError::Memory(_))));
+        assert!(matches!(p.write(9, 1), Err(SimError::InvalidRequest(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn invalid_reservations_are_rejected() {
+        let mut p = reserved_pool(10);
+        assert!(matches!(p.reserve(0, 0), Err(SimError::InvalidRequest(_))));
+        p.reserve(0, 2).unwrap();
+        assert!(matches!(p.reserve(0, 2), Err(SimError::InvalidRequest(_))));
+        assert_eq!(p.live(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! continuous batching:
 //!
 //! - [`BatchState::admit`] joins a new member, reserving its maximum
-//!   K/V claim from the device's HBM budget ([`KvPool`]) and charging
+//!   K/V claim from the device's HBM budget ([`BlockPool`]) and charging
 //!   its prefill (summarization) pass to the shared timeline;
 //! - [`BatchState::step_token`] advances every live member by one decode
 //!   token through [`dfx_core::TimingCore::time_step_batched`] at the
@@ -33,10 +33,11 @@
 //! (`input_len + output_len` context positions ×
 //! [`MemoryModel::kv_bytes_per_token`](dfx_hw::MemoryModel)) exceeds
 //! the free budget — per-member *shape* feasibility is necessary but no
-//! longer sufficient. The claim is reserved whole at admission
-//! (TGI-style budgeting), so a member can never be evicted mid-decode
-//! by a later admission, and it is released in full when the member
-//! finishes.
+//! longer sufficient. By default the claim is reserved whole at
+//! admission ([`BlockPool::reserve`] at 1-token blocks, so one block is
+//! one token — TGI-style budgeting): a member can never be evicted
+//! mid-decode by a later admission, and its claim is released in full
+//! when the member finishes.
 //!
 //! # Chunked prefill
 //!
@@ -60,10 +61,11 @@
 //!
 //! # Paged K/V allocation
 //!
-//! With [`Appliance::with_kv_paging`] the executor swaps the reserved
-//! [`KvPool`] for a [`BlockPool`](crate::BlockPool): admission takes
-//! blocks for the member's *prompt* only, decode grows the block table
-//! page by page, and a grow that finds the pool exhausted preempts the
+//! With [`Appliance::with_kv_paging`] the same [`BlockPool`] is carved
+//! into the configured blocks and admits through
+//! [`BlockPool::admit`] instead: admission takes blocks for the
+//! member's *prompt* only, decode grows the block table page by page,
+//! and a grow that finds the pool exhausted preempts the
 //! youngest co-tenant under the configured
 //! [`PreemptionPolicy`](crate::PreemptionPolicy) — recompute (the
 //! victim's prefill re-runs over everything it had materialised, LM
@@ -72,13 +74,13 @@
 //! charged through [`dfx_hw::DdrModel`], and stream back when capacity
 //! returns). A non-zero shared-prefix length additionally routes every
 //! admission through the ref-counted prefix cache, skipping both the
-//! K/V bytes and the prefill compute of cached prompt blocks. The
-//! reserved path stays the default and is untouched bit for bit.
+//! K/V bytes and the prefill compute of cached prompt blocks. The two
+//! modes share one admission path and one step loop; only the allocator
+//! call at admission differs, and reservation stays the default.
 
 use crate::appliance::Appliance;
 use crate::block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Prefix};
 use crate::error::SimError;
-use crate::kv::KvPool;
 use dfx_model::Workload;
 
 /// Result of admitting one member into a running batch.
@@ -172,93 +174,6 @@ impl Member {
     }
 }
 
-/// The K/V allocator behind a [`BatchState`]: the reserved max-claim
-/// [`KvPool`] (the default) or the paged [`BlockPool`].
-enum KvBacking {
-    Reserved(KvPool),
-    Paged { pool: BlockPool, cfg: PagedKvConfig },
-}
-
-impl KvBacking {
-    fn release(&mut self, id: u64) {
-        match self {
-            KvBacking::Reserved(pool) => {
-                pool.release(id);
-            }
-            KvBacking::Paged { pool, .. } => {
-                pool.release(id);
-            }
-        }
-    }
-}
-
-/// A read-only view of a [`BatchState`]'s K/V allocator that works for
-/// both backings. Token-granular figures are reported at each backing's
-/// own commitment granularity: whole claims for the reserved
-/// [`KvPool`], whole blocks for the paged [`BlockPool`].
-pub struct KvView<'a> {
-    backing: &'a KvBacking,
-}
-
-impl KvView<'_> {
-    /// Tokens of capacity committed (reserved: live claims; paged:
-    /// blocks neither free nor idle-cached).
-    pub fn committed_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.committed_tokens(),
-            KvBacking::Paged { pool, .. } => pool.committed_tokens(),
-        }
-    }
-
-    /// Tokens still available to admissions and growth.
-    pub fn free_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.free_tokens(),
-            KvBacking::Paged { pool, .. } => pool.free_tokens(),
-        }
-    }
-
-    /// Context positions actually materialised across live leases.
-    pub fn used_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.used_tokens(),
-            KvBacking::Paged { pool, .. } => pool.used_tokens(),
-        }
-    }
-
-    /// Number of live leases.
-    pub fn live(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.live(),
-            KvBacking::Paged { pool, .. } => pool.live(),
-        }
-    }
-
-    /// The capacity model the allocator budgets against.
-    pub fn memory(&self) -> &dfx_hw::MemoryModel {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.memory(),
-            KvBacking::Paged { pool, .. } => pool.memory(),
-        }
-    }
-
-    /// The reserved pool, when that backing is active.
-    pub fn reserved(&self) -> Option<&KvPool> {
-        match self.backing {
-            KvBacking::Reserved(pool) => Some(pool),
-            KvBacking::Paged { .. } => None,
-        }
-    }
-
-    /// The block pool, when paged K/V is active.
-    pub fn paged(&self) -> Option<&BlockPool> {
-        match self.backing {
-            KvBacking::Reserved(_) => None,
-            KvBacking::Paged { pool, .. } => Some(pool),
-        }
-    }
-}
-
 /// Incremental batched executor over one [`Appliance`]: the
 /// token-granular API continuous batching schedules against.
 ///
@@ -303,20 +218,22 @@ pub struct BatchState<'a> {
     members: Vec<Member>,
     finished: Vec<RetiredMember>,
     elapsed_ms: f64,
-    /// The K/V allocator over the appliance's per-device HBM budget
-    /// (reserved claims by default; paged blocks under
-    /// [`Appliance::with_kv_paging`]).
-    kv: KvBacking,
+    /// The K/V allocator over the appliance's per-device HBM budget:
+    /// max-claim reservation at 1-token blocks by default, paged
+    /// admission under [`Appliance::with_kv_paging`].
+    kv: BlockPool,
+    /// The appliance's paging configuration (`None`: reserved).
+    paging: Option<PagedKvConfig>,
     /// Prefill chunk budget in tokens (`None`: whole-prefill admission).
     prefill_chunk: Option<usize>,
 }
 
 impl Appliance {
     /// Creates an empty incremental batch executor over this appliance,
-    /// with a K/V allocator sized by
-    /// [`memory_model`](Appliance::memory_model): a [`KvPool`] by
-    /// default, a [`BlockPool`] under
-    /// [`with_kv_paging`](Appliance::with_kv_paging).
+    /// with a [`BlockPool`] sized by
+    /// [`memory_model`](Appliance::memory_model): 1-token blocks and
+    /// max-claim reservation by default, the configured blocks and paged
+    /// admission under [`with_kv_paging`](Appliance::with_kv_paging).
     ///
     /// See [`BatchState`] for the admit / step / retire cycle.
     pub fn batch_state(&self) -> BatchState<'_> {
@@ -325,13 +242,8 @@ impl Appliance {
             members: Vec::new(),
             finished: Vec::new(),
             elapsed_ms: 0.0,
-            kv: match self.kv_paging() {
-                Some(&cfg) => KvBacking::Paged {
-                    pool: BlockPool::new(self.memory_model(), cfg.block_tokens),
-                    cfg,
-                },
-                None => KvBacking::Reserved(KvPool::new(self.memory_model())),
-            },
+            kv: BlockPool::new(self.memory_model(), self.kv_block_tokens()),
+            paging: self.kv_paging().copied(),
             prefill_chunk: None,
         }
     }
@@ -350,18 +262,16 @@ impl BatchState<'_> {
         self.elapsed_ms
     }
 
-    /// The K/V allocator: inspect committed/free budget from outside
-    /// (both backings answer through the same [`KvView`]).
-    pub fn kv(&self) -> KvView<'_> {
-        KvView { backing: &self.kv }
+    /// The K/V allocator: inspect committed/free budget from outside.
+    /// Token figures are at block granularity, which on the reserved
+    /// path (1-token blocks) is whole claims.
+    pub fn kv(&self) -> &BlockPool {
+        &self.kv
     }
 
     /// Paged-K/V run counters, when paged allocation is active.
     pub fn paging_stats(&self) -> Option<PagingStats> {
-        match &self.kv {
-            KvBacking::Reserved(_) => None,
-            KvBacking::Paged { pool, .. } => Some(pool.stats()),
-        }
+        self.paging.map(|_| self.kv.stats())
     }
 
     /// Sets the prefill chunk budget: admissions charge at most `chunk`
@@ -442,7 +352,7 @@ impl BatchState<'_> {
     /// Cancels live member `id` mid-flight — mid-prefill, parked, or
     /// decoding — releasing its whole K/V lease immediately (a lease is
     /// freed in full however a member exits; see
-    /// [`KvPool::release`]). The member is returned with the tokens it
+    /// [`BlockPool::release`]). The member is returned with the tokens it
     /// actually produced and is *not* queued for
     /// [`retire`](BatchState::retire); its id becomes reusable.
     ///
@@ -500,81 +410,40 @@ impl BatchState<'_> {
             )));
         }
         let chunk = self.prefill_chunk.unwrap_or(usize::MAX);
-        if let KvBacking::Paged { pool, cfg } = &mut self.kv {
+        let claim = workload.input_len + workload.output_len;
+        let (hit, first_computed) = match self.paging {
             // Paged admission: blocks for the first prefill chunk only,
             // with cached prefix blocks attached for free. The prompt
             // cap of `input_len − 1` guarantees at least one computed
             // position — the LM head that emits the first token.
-            let prefix = (cfg.shared_prefix_tokens > 0).then(|| Prefix {
-                key: 0,
-                tokens: cfg.shared_prefix_tokens.min(workload.input_len - 1),
-            });
-            let hits = prefix.map_or(0, |p| pool.prefix_hits(p));
-            let first_computed = chunk.min(workload.input_len - hits);
-            let hit = pool.admit(
-                id,
-                workload.input_len + workload.output_len,
-                first_computed,
-                prefix,
-            )?;
-            debug_assert_eq!(hit, hits);
-            let prefilled = hit + first_computed;
-            let prefill_ms = self.charge_prefill_chunk(workload, hit, prefilled);
-            if prefilled < workload.input_len {
-                self.members.push(Member {
-                    id,
-                    workload,
-                    prefilled,
-                    prefill_target: workload.input_len,
-                    emitted: 0,
-                    parked: None,
+            Some(cfg) => {
+                let prefix = (cfg.shared_prefix_tokens > 0).then(|| Prefix {
+                    key: 0,
+                    tokens: cfg.shared_prefix_tokens.min(workload.input_len - 1),
                 });
-                return Ok(AdmitOutcome {
-                    prefill_ms,
-                    finished: false,
-                    pending_prefill: workload.input_len - prefilled,
-                });
+                let hits = prefix.map_or(0, |p| self.kv.prefix_hits(p));
+                let first_computed = chunk.min(workload.input_len - hits);
+                let hit = self.kv.admit(id, claim, first_computed, prefix)?;
+                debug_assert_eq!(hit, hits);
+                (hit, first_computed)
             }
-            let finished = workload.output_len == 1;
-            let member = Member {
-                id,
-                workload,
-                prefilled,
-                prefill_target: workload.input_len,
-                emitted: 1,
-                parked: None,
-            };
-            if finished {
-                self.finish(member);
-            } else {
-                self.members.push(member);
+            // Reserved admission: the whole claim up front, so the first
+            // chunk (and every later write) lands inside it.
+            None => {
+                let first_computed = chunk.min(workload.input_len);
+                self.kv.reserve(id, claim)?;
+                self.kv.write(id, first_computed)?;
+                (0, first_computed)
             }
-            return Ok(AdmitOutcome {
-                prefill_ms,
-                finished,
-                pending_prefill: 0,
-            });
-        }
-
-        let KvBacking::Reserved(pool) = &mut self.kv else {
-            // The paged arm admits and returns above; reaching this
-            // point on a paged backing is a bug worth surfacing, not
-            // aborting the whole process for.
-            return Err(SimError::Service(
-                "paged K/V admission fell through to the reserved path".into(),
-            ));
         };
-        pool.reserve(id, workload.input_len + workload.output_len)?;
-
-        if chunk < workload.input_len {
-            // Chunked admission: charge the first chunk only; the rest
-            // interleaves with decode steps.
-            let prefill_ms = self.charge_prefill_chunk(workload, 0, chunk);
-            self.kv_grow(id, chunk)?;
+        let prefilled = hit + first_computed;
+        let prefill_ms = self.charge_prefill_chunk(workload, hit, prefilled);
+        if prefilled < workload.input_len {
+            // Chunked admission: the rest interleaves with decode steps.
             self.members.push(Member {
                 id,
                 workload,
-                prefilled: chunk,
+                prefilled,
                 prefill_target: workload.input_len,
                 emitted: 0,
                 parked: None,
@@ -582,20 +451,15 @@ impl BatchState<'_> {
             return Ok(AdmitOutcome {
                 prefill_ms,
                 finished: false,
-                pending_prefill: workload.input_len - chunk,
+                pending_prefill: workload.input_len - prefilled,
             });
         }
-
-        let prefill_ms = self.prefill_cost_ms(workload.input_len);
-        self.elapsed_ms += prefill_ms;
-        self.kv_grow(id, workload.input_len)?;
-
         // The prefill's LM head produces the first output token.
         let finished = workload.output_len == 1;
         let member = Member {
             id,
             workload,
-            prefilled: workload.input_len,
+            prefilled,
             prefill_target: workload.input_len,
             emitted: 1,
             parked: None,
@@ -610,16 +474,6 @@ impl BatchState<'_> {
             finished,
             pending_prefill: 0,
         })
-    }
-
-    /// Grows member `id`'s reserved lease (the reserved backing's write
-    /// path; paged growth goes through
-    /// [`make_room`](BatchState::make_room) + `BlockPool::write`).
-    fn kv_grow(&mut self, id: u64, tokens: usize) -> Result<(), SimError> {
-        match &mut self.kv {
-            KvBacking::Reserved(pool) => pool.grow(id, tokens),
-            KvBacking::Paged { pool, .. } => pool.write(id, tokens),
-        }
     }
 
     /// Advances the batch by one step: works one chunk of the oldest
@@ -654,32 +508,30 @@ impl BatchState<'_> {
 
         // Swap the oldest parked member back in once its footprint fits
         // again (the paged retain policy; charged as a DDR transfer).
-        if let KvBacking::Paged { pool, .. } = &mut self.kv {
-            let oldest_parked = self
-                .members
-                .iter()
-                .enumerate()
-                .find_map(|(i, m)| m.parked.map(|p| (i, p)));
-            if let Some((i, swapped)) = oldest_parked {
-                let id = self.members[i].id;
-                if pool.can_write(id, swapped) {
-                    pool.restore(id, swapped)?;
-                    let bytes = pool.memory().kv_claim_bytes(swapped);
-                    let swap_ms = dfx_hw::DdrModel::default()
-                        .transfer_cycles(bytes)
-                        .to_millis();
-                    ms += swap_ms;
-                    self.elapsed_ms += swap_ms;
-                    self.members[i].parked = None;
-                    resumed.push(id);
-                }
+        let oldest_parked = self
+            .members
+            .iter()
+            .enumerate()
+            .find_map(|(i, m)| m.parked.map(|p| (i, p)));
+        if let Some((i, swapped)) = oldest_parked {
+            let id = self.members[i].id;
+            if self.kv.can_write(id, swapped) {
+                self.kv.restore(id, swapped)?;
+                let bytes = self.kv.memory().kv_claim_bytes(swapped);
+                let swap_ms = dfx_hw::DdrModel::default()
+                    .transfer_cycles(bytes)
+                    .to_millis();
+                ms += swap_ms;
+                self.elapsed_ms += swap_ms;
+                self.members[i].parked = None;
+                resumed.push(id);
             }
         }
 
         // One chunk of the oldest active in-flight prefill that fits.
         //
-        // On the paged backing a prefill chunk only runs when its blocks
-        // are already free: growing a prefill never preempts a decoding
+        // A prefill chunk only runs when its blocks are already free
+        // (always, for a reserved lease): growing a prefill never preempts a decoding
         // member, because two recompute victims could then evict each
         // other's re-prefill forever without either earning a token.
         // A chunk that does not fit simply waits for decoders to retire
@@ -704,18 +556,11 @@ impl BatchState<'_> {
             // A recompute victim restarting from zero re-attaches any
             // still-cached prefix blocks before recomputing the rest.
             if self.members[i].prefilled == 0 {
-                if let KvBacking::Paged { pool, .. } = &mut self.kv {
-                    let hit = pool.attach_cached_prefix(id, target)?;
-                    self.members[i].prefilled = hit;
-                }
+                self.members[i].prefilled = self.kv.attach_cached_prefix(id, target)?;
             }
             let from = self.members[i].prefilled;
             let to = from.saturating_add(chunk).min(target);
-            let fits = match &self.kv {
-                KvBacking::Reserved(_) => true,
-                KvBacking::Paged { pool, .. } => pool.can_write(id, to - from),
-            };
-            if fits {
+            if self.kv.can_write(id, to - from) {
                 chosen = Some((i, false));
                 break;
             }
@@ -741,7 +586,7 @@ impl BatchState<'_> {
                 ms += self.make_room(id, to - from)?;
             }
             ms += self.charge_prefill_chunk(workload, from, to);
-            self.kv_grow(id, to - from)?;
+            self.kv.write(id, to - from)?;
             let m = &mut self.members[i];
             m.prefilled = to;
             if m.decoding() {
@@ -799,7 +644,7 @@ impl BatchState<'_> {
             }
             // lint: order-sensitive — simulated-clock accumulation
             ms += self.make_room(id, 1)?;
-            self.kv_grow(id, 1)?;
+            self.kv.write(id, 1)?;
             self.members[i].emitted += 1;
             advanced.push(id);
             if self.members[i].emitted == self.members[i].workload.output_len {
@@ -825,24 +670,27 @@ impl BatchState<'_> {
         })
     }
 
-    /// Ensures member `grower` can write `tokens` more positions on the
-    /// paged backing, evicting the youngest block-holding co-tenant at
-    /// a time under the configured [`PreemptionPolicy`] until the write
-    /// fits. Decode growth calls this every token; prefill growth only
-    /// as a last resort (see [`step_token`](BatchState::step_token) —
-    /// an evicting prefill invites recompute livelock). Returns the DDR
-    /// swap time charged (retain policy only); a no-op returning 0 on
-    /// the reserved backing, where admission reserved the whole claim
-    /// up front.
+    /// Ensures member `grower` can write `tokens` more positions,
+    /// evicting the youngest block-holding co-tenant at a time under the
+    /// configured [`PreemptionPolicy`] until the write fits. Decode
+    /// growth calls this every token; prefill growth only as a last
+    /// resort (see [`step_token`](BatchState::step_token) — an evicting
+    /// prefill invites recompute livelock). Returns the DDR swap time
+    /// charged (retain policy only); a no-op returning 0 for a reserved
+    /// lease, which can always write within the claim it took up front.
     fn make_room(&mut self, grower: u64, tokens: usize) -> Result<f64, SimError> {
+        // Unpaged, every lease is reserved: a write within the claim
+        // always fits, and one past it is the write's own error to
+        // report — there is nobody to evict either way.
+        let Some(cfg) = self.paging else {
+            return Ok(0.0);
+        };
         let mut ms = 0.0;
         loop {
-            let KvBacking::Paged { pool, cfg } = &mut self.kv else {
-                return Ok(ms);
-            };
-            if pool.can_write(grower, tokens) {
+            if self.kv.can_write(grower, tokens) {
                 return Ok(ms);
             }
+            let pool = &self.kv;
             let Some(i) = self.members.iter().rposition(|m| {
                 m.id != grower
                     && m.parked.is_none()
@@ -855,10 +703,9 @@ impl BatchState<'_> {
                      no preemptible co-tenant holds blocks"
                 )));
             };
-            let policy = cfg.policy;
             let victim = &mut self.members[i];
-            let (used, owned) = pool.evict(victim.id)?;
-            match policy {
+            let (used, owned) = self.kv.evict(victim.id)?;
+            match cfg.policy {
                 PreemptionPolicy::Recompute => {
                     // The victim restarts its prefill over everything it
                     // had materialised: its prompt plus the K/V of every
@@ -868,9 +715,12 @@ impl BatchState<'_> {
                         victim.workload.input_len + victim.emitted.saturating_sub(1);
                 }
                 PreemptionPolicy::Retain => {
-                    pool.record_swap_out();
+                    self.kv.record_swap_out();
                     victim.parked = Some(used);
-                    let bytes = pool.memory().kv_claim_bytes(owned * pool.block_tokens());
+                    let bytes = self
+                        .kv
+                        .memory()
+                        .kv_claim_bytes(owned * self.kv.block_tokens());
                     let swap_ms = dfx_hw::DdrModel::default()
                         .transfer_cycles(bytes)
                         .to_millis();
@@ -884,9 +734,9 @@ impl BatchState<'_> {
     }
 
     /// Block-granular feasibility of a hypothetical resident set, for
-    /// the serving layer's admission probe: `None` on the reserved
-    /// backing (the caller falls back to summing whole claims),
-    /// `Some(fits)` on the paged one. `members` is the would-be
+    /// the serving layer's admission probe: `None` on the reserved path
+    /// (the caller falls back to summing whole claims), `Some(fits)`
+    /// under paging. `members` is the would-be
     /// resident set — live members are matched off by workload.
     ///
     /// The policy is *half-funded outputs*: prompts are funded in full
@@ -899,9 +749,8 @@ impl BatchState<'_> {
     /// than max-claim reservation while keeping preemption the rare
     /// case rather than the steady state.
     pub fn resident_kv_fits(&self, members: &[Workload]) -> Option<bool> {
-        let KvBacking::Paged { pool, cfg } = &self.kv else {
-            return None;
-        };
+        let cfg = self.paging?;
+        let pool = &self.kv;
         let mut live: Vec<Workload> = self.members.iter().map(|m| m.workload).collect();
         let mut need = 0usize;
         for &w in members {

@@ -93,10 +93,11 @@
 //! Each device's HBM holds the weight shard plus every live request's
 //! K/V attention state (paper §IV-B), so multi-request admission is
 //! capacity-bounded: every member claims `input + output` tokens of
-//! K/V ([`hw::MemoryModel`], brokered by [`sim::KvPool`] inside the
-//! incremental executor), and the continuous-batching disciplines keep
-//! the joint claim within [`Backend::memory`](serve::Backend::memory)'s
-//! budget. [`ContinuousBatching::with_prefill_chunk`](serve::ContinuousBatching::with_prefill_chunk)
+//! K/V ([`hw::MemoryModel`], brokered by [`sim::BlockPool`] inside the
+//! incremental executor — max-claim reservation by default, paged
+//! blocks under [`sim::Appliance::with_kv_paging`]), and the
+//! continuous-batching disciplines keep the joint claim within
+//! [`Backend::memory`](serve::Backend::memory)'s budget. [`ContinuousBatching::with_prefill_chunk`](serve::ContinuousBatching::with_prefill_chunk)
 //! additionally splits admission prefills into token-budgeted chunks
 //! interleaved with decode (Sarathi/TGI style), bounding the decode
 //! stall running members feel:

@@ -4,17 +4,19 @@
 //! with three kinds of guarantees:
 //!
 //! 1. **Allocator invariants** (property tests): under random
-//!    admit/write/evict/restore/release interleavings the pool never
-//!    over-commits — free + cached + owned always equals the total
-//!    block count — releases free exactly what each member held, and
-//!    prefix ref-counts never go negative or leak once every sharer
-//!    has retired.
-//! 2. **Reserved-fallback equivalence**: with paging enabled but
-//!    memory slack (or a covering block size at bounded capacity, with
-//!    the prefix cache off), the paged engine's serving / batching /
-//!    continuous / memory behaviour is bit-identical to the reserved
-//!    [`dfx::sim::KvPool`] engine — same responses, same timings, same
-//!    token timelines.
+//!    reserve/admit/write/evict/restore/release interleavings the pool
+//!    never over-commits — free + cached + owned always equals the
+//!    total block count — a reserved lease always holds exactly the
+//!    blocks of its whole claim and is never preempted, releases free
+//!    exactly what each member held, and prefix ref-counts never go
+//!    negative or leak once every sharer has retired.
+//! 2. **Paged ≡ reserved where memory does not bind**: with paging
+//!    enabled but memory slack (or a covering block size at bounded
+//!    capacity, with the prefix cache off), the paged engine's serving
+//!    / batching / continuous / memory behaviour is bit-identical to
+//!    the default engine, whose [`BlockPool`] admits by max-claim
+//!    reservation ([`BlockPool::reserve`]) — same responses, same
+//!    timings, same token timelines.
 //! 3. **Preemption and cancellation semantics** (deterministic): both
 //!    recompute and retain preemption complete every member with its
 //!    exact requested output; a member cancelled mid-prefill releases
@@ -52,6 +54,8 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
     let capacity_tokens = total * pool.block_tokens();
     let mut next_id = 0u64;
     let mut live: Vec<u64> = Vec::new();
+    // Live members admitted by max-claim reservation.
+    let mut reserved: Vec<u64> = Vec::new();
     for &(op, sel, amount) in ops {
         match op {
             // Admit, every third attempt sharing the common prefix.
@@ -67,15 +71,29 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
                 }
                 next_id += 1;
             }
-            // Grow a live member by a few positions.
+            // Grow a live member by a few positions (a reserved member's
+            // writes never take a block).
             1 if !live.is_empty() => {
                 let id = live[sel % live.len()];
+                let free_before = pool.free_blocks();
                 let _ = pool.write(id, 1 + amount % (2 * pool.block_tokens()));
+                if reserved.contains(&id) {
+                    prop_assert_eq!(pool.free_blocks(), free_before);
+                }
             }
-            // Preempt a live member (frees owned blocks, derefs shared).
+            // Preempt a live member (frees owned blocks, derefs shared);
+            // reserved leases refuse, holding their blocks.
             2 if !live.is_empty() => {
                 let id = live[sel % live.len()];
-                pool.evict(id).expect("live members always evictable");
+                let held = pool.lease_blocks(id);
+                match pool.evict(id) {
+                    Ok(_) => prop_assert!(!reserved.contains(&id), "evicted reserved {}", id),
+                    Err(SimError::InvalidRequest(_)) => {
+                        prop_assert!(reserved.contains(&id), "paged {} must be evictable", id);
+                        prop_assert_eq!(pool.lease_blocks(id), held);
+                    }
+                    Err(e) => prop_assert!(false, "unexpected eviction error {:?}", e),
+                }
             }
             // Re-attach cached prefix blocks after an eviction.
             3 if !live.is_empty() => {
@@ -90,6 +108,7 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
             // Release: must free exactly the blocks the member held.
             5 if !live.is_empty() => {
                 let id = live.remove(sel % live.len());
+                reserved.retain(|&r| r != id);
                 let held = pool
                     .lease_blocks(id)
                     .map_or(0, |(owned, shared)| owned + shared);
@@ -100,6 +119,23 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
                     pool.free_blocks() >= free_before,
                     "release can only grow the free list"
                 );
+            }
+            // Reserve a whole claim up front: admitted exactly when its
+            // blocks are available, and then holding exactly those.
+            6 => {
+                let claim = 1 + amount % (capacity_tokens + 2);
+                let available = pool.available_blocks();
+                let ok = pool.reserve(next_id, claim).is_ok();
+                prop_assert_eq!(ok, pool.blocks_for(claim) <= available);
+                if ok {
+                    prop_assert_eq!(
+                        pool.lease_blocks(next_id),
+                        Some((pool.blocks_for(claim), 0))
+                    );
+                    live.push(next_id);
+                    reserved.push(next_id);
+                }
+                next_id += 1;
             }
             _ => {}
         }
@@ -114,7 +150,7 @@ proptest! {
     /// random interleavings, across block sizes and pool sizes.
     #[test]
     fn block_pool_never_overcommits_under_random_interleavings(
-        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..96), 1..120),
+        ops in proptest::collection::vec((0u8..7, 0usize..64, 0usize..96), 1..120),
         block_tokens in 1usize..9,
         pool_blocks in 1usize..14,
     ) {
@@ -326,9 +362,7 @@ fn drain(batch: &mut BatchState) -> Vec<(u64, usize)> {
         .collect();
     while batch.live() > 0 {
         batch.step_token().unwrap();
-        if let Some(pool) = batch.kv().paged() {
-            pool.assert_invariants();
-        }
+        batch.kv().assert_invariants();
         retired.extend(batch.retire().into_iter().map(|m| (m.id, m.tokens)));
     }
     retired
@@ -472,7 +506,7 @@ proptest! {
             let appliance =
                 tight_appliance(pool_tokens, Some(PagedKvConfig::new(block_tokens)));
             let mut batch = appliance.batch_state();
-            let total_blocks = batch.kv().paged().unwrap().total_blocks();
+            let total_blocks = batch.kv().total_blocks();
             batch.set_prefill_chunk(chunk);
             // Admit the same member set on both sides: a chunked admit
             // writes a smaller first chunk than an unchunked one, so

@@ -415,11 +415,13 @@ proptest! {
     // The K/V-conservation suite runs the real cycle model per case.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The `KvPool` never over-commits and frees exactly what it
-    /// reserved, however admissions, early exits and chunked prefills
-    /// interleave: at every step the committed claim stays within the
-    /// budget, refused admissions leave the pool untouched, and once
-    /// everything retires the pool is empty again.
+    /// The executor's default K/V admission — max-claim reservation on
+    /// a 1-token-block `BlockPool` — never over-commits and frees
+    /// exactly what it reserved, however admissions, early exits and
+    /// chunked prefills interleave: at every step the committed claim
+    /// stays within the budget and the pool's invariants hold, refused
+    /// admissions leave the pool untouched, and once everything retires
+    /// the pool is empty again.
     #[test]
     fn kv_pool_never_overcommits_and_frees_exactly_what_it_reserved(
         specs in proptest::collection::vec((1usize..24, 1usize..16), 1..8),
@@ -480,6 +482,7 @@ proptest! {
             served += batch.retire().len();
             if batch.live() > 0 {
                 batch.step_token().unwrap();
+                batch.kv().assert_invariants();
                 served += batch.retire().len();
             } else {
                 prop_assert!(!queued.is_empty(), "live 0 with work unserved and queue empty");
