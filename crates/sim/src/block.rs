@@ -271,23 +271,6 @@ struct BlockLease {
 /// assert_eq!(pool.cached_blocks(), 2);
 /// assert_eq!(pool.prefix_hits(sys), 32);
 /// ```
-///
-/// Max-claim reservation at 1-token blocks, where one block is one
-/// token:
-///
-/// ```
-/// use dfx_hw::MemoryModel;
-/// use dfx_sim::BlockPool;
-///
-/// // Room for 102 tokens of K/V next to the weights.
-/// let mut pool = BlockPool::new(MemoryModel::new(2048, 1024, 10), 1);
-/// assert_eq!(pool.free_tokens(), 102);
-/// pool.reserve(0, 60).unwrap();
-/// assert!(pool.reserve(1, 60).is_err(), "claim exceeds the free budget");
-/// pool.reserve(1, 40).unwrap();
-/// assert_eq!(pool.release(0), 60);
-/// assert_eq!(pool.free_tokens(), 62);
-/// ```
 #[derive(Debug, Clone)]
 pub struct BlockPool {
     memory: MemoryModel,
@@ -535,6 +518,24 @@ impl BlockPool {
     /// free or evictable (admission must wait for a retirement), and
     /// [`SimError::InvalidRequest`] for a zero claim or an id that
     /// already holds a lease.
+    ///
+    /// # Examples
+    ///
+    /// At 1-token blocks one block is one token:
+    ///
+    /// ```
+    /// use dfx_hw::MemoryModel;
+    /// use dfx_sim::BlockPool;
+    ///
+    /// // Room for 102 tokens of K/V next to the weights.
+    /// let mut pool = BlockPool::new(MemoryModel::new(2048, 1024, 10), 1);
+    /// assert_eq!(pool.free_tokens(), 102);
+    /// pool.reserve(0, 60).unwrap();
+    /// assert!(pool.reserve(1, 60).is_err(), "claim exceeds the free budget");
+    /// pool.reserve(1, 40).unwrap();
+    /// assert_eq!(pool.release(0), 60);
+    /// assert_eq!(pool.free_tokens(), 62);
+    /// ```
     pub fn reserve(&mut self, id: u64, claim_tokens: usize) -> Result<(), SimError> {
         self.check_new_lease(id, claim_tokens)?;
         let blocks = self.blocks_for(claim_tokens);
