@@ -277,16 +277,8 @@ impl GpuModel {
     /// Panics if `batch` is empty.
     pub fn run_batch(&self, batch: &[Workload]) -> GpuReport {
         assert!(!batch.is_empty(), "empty batch");
-        let input_len = batch
-            .iter()
-            .map(|w| w.input_len)
-            .max()
-            .expect("non-empty batch");
-        let output_len = batch
-            .iter()
-            .map(|w| w.output_len)
-            .max()
-            .expect("non-empty batch");
+        let input_len = batch.iter().map(|w| w.input_len).fold(0, usize::max);
+        let output_len = batch.iter().map(|w| w.output_len).fold(0, usize::max);
         let summarization_ms = self.summarization_pass_ms_batched(input_len, batch.len());
         let mut generation_ms = 0.0;
         for out in 1..output_len {

@@ -103,12 +103,12 @@ fn put_tensor(buf: &mut BytesMut, t: TensorRef) {
         TensorRef::Weight { layer, kind } => {
             buf.put_u8(0);
             buf.put_u16_le(layer);
-            buf.put_u8(weight_kind_code(kind));
+            buf.put_u8(kind as u8);
         }
         TensorRef::Bias { layer, kind } => {
             buf.put_u8(1);
             buf.put_u16_le(layer);
-            buf.put_u8(weight_kind_code(kind));
+            buf.put_u8(kind as u8);
         }
         TensorRef::Ln { layer, param } => {
             buf.put_u8(2);
@@ -127,10 +127,6 @@ fn put_tensor(buf: &mut BytesMut, t: TensorRef) {
         }
         TensorRef::TokenIo => buf.put_u8(5),
     }
-}
-
-fn weight_kind_code(k: WeightKind) -> u8 {
-    WeightKind::ALL.iter().position(|&x| x == k).unwrap() as u8
 }
 
 fn weight_kind_from(code: u8) -> Result<WeightKind, String> {

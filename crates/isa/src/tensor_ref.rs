@@ -233,8 +233,7 @@ impl MemoryMap {
                 if kind == WeightKind::LmHead {
                     return self.layer_weight_stride() * self.layers;
                 }
-                let idx = WeightKind::ALL.iter().position(|&k| k == kind).unwrap();
-                let prior: u64 = self.weight_bytes[..idx].iter().sum();
+                let prior: u64 = self.weight_bytes[..kind as usize].iter().sum();
                 u64::from(layer) * self.layer_weight_stride() + prior
             }
             TensorRef::Kv { layer, head, kind } => {
@@ -269,6 +268,13 @@ impl MemoryMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn discriminants_match_stream_order() {
+        for (i, kind) in WeightKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
 
     fn sample_map() -> MemoryMap {
         // 2 layers, 2 local heads, toy sizes.

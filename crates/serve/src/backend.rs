@@ -152,8 +152,11 @@ pub trait Backend {
     /// win. Platforms with a real batched cost model ([`Appliance`],
     /// [`GpuModel`]) override it; the cloud [`TpuModel`] keeps the
     /// fallback (the paper publishes no batched TPU data to calibrate
-    /// against). `serve_batch(&[w])` always agrees with `serve(w)` on
-    /// latency.
+    /// against). Implementations must keep `serve_batch(&[w])` and
+    /// `serve(w)` in agreement — the same latency bits and the same
+    /// errors, capacity checks included — because the serving engine
+    /// dispatches every static unit, a lone request too, through this
+    /// method.
     ///
     /// # Errors
     ///
@@ -299,7 +302,9 @@ impl Backend for Appliance {
 
     fn serve(&self, workload: Workload) -> Result<RunReport, SimError> {
         validate_workload(workload)?;
-        let run = self.generate_timed(workload.input_len, workload.output_len)?;
+        // The one-member batch: bit-identical timing to
+        // `generate_timed`, plus the HBM K/V check a request must pass.
+        let run = self.generate_batch_timed(&[workload])?;
         Ok(RunReport {
             backend: Backend::name(self),
             workload,
@@ -512,6 +517,18 @@ mod tests {
             assert_eq!(batch.total_ms(), single.total_ms(), "{}", backend.name());
             assert_eq!(batch.tokens_per_second(), single.tokens_per_second());
         }
+    }
+
+    #[test]
+    fn serve_enforces_the_hbm_kv_budget_like_a_batch_of_one() {
+        let base = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+        let m = base.memory_model();
+        let capped = base
+            .with_hbm_capacity(m.weight_bytes + 10 * m.kv_bytes_per_token)
+            .unwrap();
+        let w = Workload::new(8, 4);
+        assert!(matches!(capped.serve(w), Err(SimError::Memory(_))));
+        assert!(matches!(capped.serve_batch(&[w]), Err(SimError::Memory(_))));
     }
 
     #[test]

@@ -8,15 +8,21 @@
 //! [`EngineState`](crate::engine) per replica and advances it
 //! monotonically — O(n) engine events over a whole run, rather than
 //! the O(n²) of re-simulating each replica's assigned prefix per
-//! arrival. Pushes reveal arrivals in time order; `advance_to(t)`
-//! commits the batch run's events, in order, up to `t`, and a decision
-//! whose outcome could still depend on unrevealed arrivals (a scheduler
-//! `Wait`, or an admission decline with no later arrival known) is
-//! stashed, not guessed — see the step contract in `engine.rs`. The snapshot accessors therefore answer with the
+//! arrival. That state is the engine's one request stream plus its
+//! path variant — static dispatch or token-boundary stepping, chosen
+//! by the scheduler and pool exactly as a batch run chooses — so a
+//! checkpoint needs no path-specific code. Pushes reveal arrivals in
+//! time order; `advance_to(t)` commits the batch run's events, in
+//! order, up to `t`, and a decision whose outcome could still depend
+//! on unrevealed arrivals (a static scheduler `Wait`, or a
+//! token-boundary admission decline with no later arrival known) is
+//! stashed in the path variant, not guessed — see the step contract in
+//! `engine.rs`. The snapshot accessors therefore answer with the
 //! stream's *committed* state, which never depends on a later push.
-//! [`finish`](EngineCheckpoint::finish) drains the stream into the same
-//! [`ServiceReport`] a fresh batch run over the full prefix would
-//! produce, bit for bit.
+//! [`finish`](EngineCheckpoint::finish) runs the engine's own drain
+//! loop and report builder — the ones behind
+//! [`ServingEngine::run`] — so it produces the same [`ServiceReport`]
+//! a fresh batch run over the full prefix would, bit for bit.
 //!
 //! The load snapshots are maintained incrementally, with integer byte
 //! accounting (K/V budgets and claims are exact `u64` token-byte
@@ -46,6 +52,7 @@
 //! [`LeastOutstanding`]: crate::cluster::LeastOutstanding
 //! [`LeastKvLoaded`]: crate::cluster::LeastKvLoaded
 
+use crate::arrivals::SubmissionPlan;
 use crate::backend::Backend;
 use crate::engine::{EngineState, ServiceReport, ServingEngine, StepOutcome};
 use crate::scheduler::Scheduler;
@@ -135,7 +142,7 @@ impl<'a> EngineCheckpoint<'a> {
             .flatten()
             .map(MemoryModel::kv_budget_bytes)
             .sum();
-        let state = engine.start_stream()?;
+        let state = engine.build_state(Vec::new(), SubmissionPlan::Open(Vec::new()), false);
         Ok(EngineCheckpoint {
             engine,
             state,
@@ -258,18 +265,10 @@ impl<'a> EngineCheckpoint<'a> {
     /// Returns [`SimError::Service`] for an empty stream or a starved
     /// event loop, and propagates engine errors.
     pub fn finish(mut self) -> Result<ServiceReport, SimError> {
-        let n = self.state.pushed();
-        if n == 0 {
+        if self.state.pushed() == 0 {
             return Err(SimError::Service("nothing to serve".into()));
         }
-        while self.state.responses().len() < n {
-            match self.engine.step(&mut self.state, None)? {
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(self.state.starvation_error());
-                }
-            }
-        }
+        self.engine.drain(&mut self.state)?;
         self.engine.build_report(self.state)
     }
 }

@@ -577,7 +577,6 @@ impl<'a> ClusterRouter<'a> {
     ) -> Result<ClusterReport, SimError> {
         let mut replica_reports = Vec::with_capacity(self.replicas.len());
         let mut responses: Vec<Response> = Vec::with_capacity(workloads.len());
-        let mut paging: Option<PagingStats> = None;
         let mut makespan_ms = 0.0f64;
         for ((index, replica), stream) in self.replicas.iter().enumerate().zip(streams) {
             // Draining the stream costs only the events not yet
@@ -610,12 +609,6 @@ impl<'a> ClusterRouter<'a> {
                         finish_ms: r.finish_ms,
                     });
                 }
-                if let Some(stats) = &report.paging {
-                    match paging.as_mut() {
-                        Some(merged) => merged.merge(stats),
-                        None => paging = Some(*stats),
-                    }
-                }
                 makespan_ms = makespan_ms.max(report.makespan_ms);
             }
             replica_reports.push(ReplicaReport {
@@ -625,6 +618,11 @@ impl<'a> ClusterRouter<'a> {
             });
         }
         responses.sort_by_key(|r| r.request.id);
+        let paging = stats::sum_paging(
+            replica_reports
+                .iter()
+                .filter_map(|r| r.report.as_ref()?.paging),
+        );
 
         // Pooled cross-replica percentiles through the shared merge
         // seam — averaging per-replica percentiles is the bug this
@@ -634,6 +632,7 @@ impl<'a> ClusterRouter<'a> {
             .filter_map(|r| r.report.as_ref().map(ServiceReport::sorted_sojourns))
             .collect();
         let pooled = stats::merge_sorted(&group_refs)?;
+        let (p50_sojourn_ms, p95_sojourn_ms, p99_sojourn_ms) = stats::tail_percentiles(&pooled)?;
         let counts: Vec<usize> = replica_reports.iter().map(|r| r.dispatched).collect();
         let total_tokens: usize = workloads.iter().map(|w| w.output_len).sum();
 
@@ -650,8 +649,8 @@ impl<'a> ClusterRouter<'a> {
             .filter_map(|r| r.report.as_ref().map(ServiceReport::sorted_token_gaps))
             .collect();
         let pooled_itl = stats::merge_sorted(&itl_refs)?;
-        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = pooled_percentiles(&pooled_ttfts)?;
-        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = pooled_percentiles(&pooled_itl)?;
+        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = stats::tail_percentiles(&pooled_ttfts)?;
+        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = stats::tail_percentiles(&pooled_itl)?;
         let energy_j = sum_energy(replica_reports.iter().map(|r| r.report.as_ref()));
 
         Ok(ClusterReport {
@@ -661,9 +660,9 @@ impl<'a> ClusterRouter<'a> {
             responses,
             total_requests: workloads.len(),
             makespan_ms,
-            p50_sojourn_ms: stats::percentile(&pooled, 0.50)?,
-            p95_sojourn_ms: stats::percentile(&pooled, 0.95)?,
-            p99_sojourn_ms: stats::percentile(&pooled, 0.99)?,
+            p50_sojourn_ms,
+            p95_sojourn_ms,
+            p99_sojourn_ms,
             p50_ttft_ms,
             p95_ttft_ms,
             p99_ttft_ms,
@@ -705,19 +704,6 @@ fn snapshots_at(
         out.push(snapshot);
     }
     Ok(out)
-}
-
-/// Nearest-rank p50/p95/p99 over an already-sorted pool; all zero for
-/// an empty pool (e.g. ITL under a static discipline).
-fn pooled_percentiles(pool: &[f64]) -> Result<(f64, f64, f64), SimError> {
-    if pool.is_empty() {
-        return Ok((0.0, 0.0, 0.0));
-    }
-    Ok((
-        stats::percentile(pool, 0.50)?,
-        stats::percentile(pool, 0.95)?,
-        stats::percentile(pool, 0.99)?,
-    ))
 }
 
 /// Sums [`ServiceReport::energy_j`] across replica reports: `None`
@@ -967,16 +953,16 @@ impl<'a> DisaggregatedCluster<'a> {
                 });
             }
         }
-        let mut paging = prefill_report.paging;
-        if let Some(stats) = decode_report.as_ref().and_then(|d| d.paging.as_ref()) {
-            match paging.as_mut() {
-                Some(merged) => merged.merge(stats),
-                None => paging = Some(*stats),
-            }
-        }
+        let paging = stats::sum_paging(
+            prefill_report
+                .paging
+                .into_iter()
+                .chain(decode_report.as_ref().and_then(|d| d.paging)),
+        );
         let makespan_ms = responses.iter().map(|r| r.finish_ms).fold(0.0f64, f64::max);
         let mut sojourns: Vec<f64> = responses.iter().map(Response::sojourn_ms).collect();
         sojourns.sort_by(f64::total_cmp);
+        let (p50_sojourn_ms, p95_sojourn_ms, p99_sojourn_ms) = stats::tail_percentiles(&sojourns)?;
         let counts: Vec<usize> = replicas.iter().map(|r| r.dispatched).collect();
         let total_tokens: usize = workloads.iter().map(|w| w.output_len).sum();
 
@@ -989,7 +975,7 @@ impl<'a> DisaggregatedCluster<'a> {
             .map(Response::sojourn_ms)
             .collect();
         ttfts.sort_by(f64::total_cmp);
-        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = pooled_percentiles(&ttfts)?;
+        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = stats::tail_percentiles(&ttfts)?;
         // ITL pools across both phases' replicas; prefill-phase
         // single-token runs contribute no gaps, so this is the decode
         // tier's inter-token story.
@@ -998,7 +984,7 @@ impl<'a> DisaggregatedCluster<'a> {
             .filter_map(|r| r.report.as_ref().map(ServiceReport::sorted_token_gaps))
             .collect();
         let pooled_itl = stats::merge_sorted(&itl_refs)?;
-        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = pooled_percentiles(&pooled_itl)?;
+        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = stats::tail_percentiles(&pooled_itl)?;
         let energy_j = sum_energy(replicas.iter().map(|r| r.report.as_ref()));
 
         Ok(ClusterReport {
@@ -1014,9 +1000,9 @@ impl<'a> DisaggregatedCluster<'a> {
             responses,
             total_requests: workloads.len(),
             makespan_ms,
-            p50_sojourn_ms: stats::percentile(&sojourns, 0.50)?,
-            p95_sojourn_ms: stats::percentile(&sojourns, 0.95)?,
-            p99_sojourn_ms: stats::percentile(&sojourns, 0.99)?,
+            p50_sojourn_ms,
+            p95_sojourn_ms,
+            p99_sojourn_ms,
             p50_ttft_ms,
             p95_ttft_ms,
             p99_ttft_ms,

@@ -6,25 +6,34 @@
 //! [`ArrivalProcess`]. Everything is deterministic for fixed inputs, so
 //! service-level experiments reproduce bit-for-bit.
 //!
-//! Two event granularities coexist:
+//! The loop state is **one request stream with two path variants**. The
+//! [`Stream`] record is what every run carries: submissions, the
+//! arrival queue, per-server busy time, the response and admission
+//! logs, dispatch and peak-batch counters, TTFT and inter-token
+//! samples, and the wake/stall bookkeeping. The path variant adds only
+//! what its event granularity needs:
 //!
 //! - the **static path** treats every backend call (a single request or
 //!   one coalesced batch) as one opaque busy interval, scheduling at
-//!   dispatch boundaries via [`Scheduler::pick_batch`];
+//!   dispatch boundaries via [`Scheduler::pick_batch`]; it adds each
+//!   server's free time and a stashed `Wait`;
 //! - the **token-boundary path** runs when a continuous discipline
 //!   ([`Scheduler::is_continuous`]) meets backends exposing a
 //!   [`ContinuousStepper`] ([`Backend::continuous`]): servers advance
 //!   one decode token at a time, members exit the moment they finish,
 //!   and the scheduler's admission seam ([`Scheduler::admit`]) can join
-//!   queued requests to a *running* batch between steps.
+//!   queued requests to a *running* batch between steps; it adds each
+//!   server's stepper run, the optional per-token trace and a stashed
+//!   idle decline.
 //!
-//! Both paths run as **resumable state machines**: the loop state lives
-//! in an explicit [`EngineState`] and advances one event per step call,
-//! so a run can be driven to completion in one go
-//! ([`ServingEngine::run`]) or held at a time horizon and resumed as
+//! The state is a **resumable state machine**: [`EngineState`] advances
+//! one event per step call, so a run can be driven to completion in one
+//! go ([`ServingEngine::run`]) or held at a time horizon and resumed as
 //! later arrivals become known
 //! ([`EngineCheckpoint`](crate::EngineCheckpoint) — the seam the
 //! cluster tier's O(n) incremental placement snapshots are built on).
+//! Either way one drain loop finishes the stream and one report builder
+//! reads it, whichever path ran.
 //! The hot paths are kept deliberately cheap: not-yet-queued
 //! submissions wait in a binary heap keyed `(time, id)`, the arrival
 //! queue pops its head without shifting the tail, and the static
@@ -330,6 +339,21 @@ impl ArrivalQueue {
         }
     }
 
+    /// Removes a scheduler's picks (indices into the live slice) and
+    /// returns them in arrival order, or `None` — the queue untouched —
+    /// when a pick is out of range or repeated. Sorts `picks`.
+    fn take(&mut self, picks: &mut [usize]) -> Option<Vec<Request>> {
+        picks.sort_unstable();
+        let in_range = picks.last().is_none_or(|&i| i < self.len());
+        if !in_range || picks.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        // Extract in descending index order, then restore arrival order.
+        let mut taken: Vec<Request> = picks.iter().rev().map(|&i| self.remove(i)).collect();
+        taken.reverse();
+        Some(taken)
+    }
+
     /// Removes and returns the request at `idx` (relative to the live
     /// slice). `idx == 0` is O(1); the storage is compacted once the
     /// dead prefix dominates.
@@ -494,13 +518,14 @@ pub(crate) enum StepOutcome {
     Exhausted,
 }
 
-/// Resumable state of the static event loop.
-pub(crate) struct StaticState {
+/// The request stream both event paths carry between events: the
+/// submissions, the arrival queue, and everything the report is built
+/// from.
+struct Stream {
     workloads: Vec<Workload>,
     plan: SubmissionPlan,
     pending: PendingHeap,
     queue: ArrivalQueue,
-    free_at: Vec<f64>,
     busy: Vec<f64>,
     responses: Vec<Response>,
     /// `(server, start_ms, input + output tokens)` per admitted
@@ -510,66 +535,124 @@ pub(crate) struct StaticState {
     admissions: Vec<(usize, f64, usize)>,
     dispatches: usize,
     peak_live_batch: usize,
-    /// Floor on the next decision instant, set by a `Wait` decision.
-    wake_ms: f64,
-    /// Consecutive decisions that neither dispatched nor saw a new
-    /// arrival: a scheduler stalling past its own deadline.
-    stalls: u32,
-    /// A `Wait(until)` whose wake instant could still be lowered by an
-    /// arrival the stream has not revealed (wake = the first arrival
-    /// strictly before `until`, else `until`). Resolved on resume once
-    /// an earlier arrival is known or the horizon covers `until`, and
-    /// unconditionally at finalization.
-    stashed_wait_ms: Option<f64>,
-}
-
-/// Resumable state of the token-boundary event loop.
-pub(crate) struct ContState<'b> {
-    workloads: Vec<Workload>,
-    plan: SubmissionPlan,
-    pending: PendingHeap,
-    queue: ArrivalQueue,
-    runs: Vec<Run<'b>>,
-    busy: Vec<f64>,
-    responses: Vec<Response>,
-    /// `(server, start_ms, input + output tokens)` per admitted
-    /// request, appended at the event that committed the admission (see
-    /// [`StaticState::admissions`]).
-    admissions: Vec<(usize, f64, usize)>,
-    dispatches: usize,
-    peak_live_batch: usize,
-    /// Gaps between a member's consecutive token emissions (the decode
-    /// stall admissions inject), pooled across members.
-    token_gaps: Vec<f64>,
-    /// Per-request time to first token, ms, appended at each request's
-    /// first emission boundary (exactly one sample per request).
+    /// Per-request time to first token, ms, exactly one sample per
+    /// request: the dispatch delay on the static path, the first
+    /// emission boundary on the token-boundary path.
     ttfts: Vec<f64>,
-    /// `(request id, emission instant)` per token the engine charged,
-    /// in event order — the raw material of a
-    /// [`RunTrace`](crate::telemetry::RunTrace)'s decode
-    /// spans. `None` (not collected) unless the run was started by
-    /// [`ServingEngine::run_traced`], so the hot path pays nothing.
-    trace_tokens: Option<Vec<(u64, f64)>>,
-    /// Floor on the next idle-admission instant, set after a decline so
-    /// a future arrival can change the scheduler's mind.
+    /// Gaps between a member's consecutive token emissions (the decode
+    /// stall admissions inject), pooled across members. Empty on the
+    /// static path.
+    token_gaps: Vec<f64>,
+    /// Floor on the next decision instant, set by a static `Wait` or a
+    /// token-boundary idle decline.
     wake_ms: f64,
-    /// Consecutive boundaries where an idle server faced a non-empty
-    /// queue and the scheduler admitted nobody.
+    /// Consecutive decisions that neither made progress nor saw a new
+    /// arrival: a scheduler stalling past its own deadline, or
+    /// declining to admit queued requests.
     stalls: u32,
-    /// An idle-decline whose wake instant depends on the next arrival,
-    /// which the stream has not revealed yet. Nothing advanced since
-    /// the decline, so resolution just re-runs the wake bookkeeping
-    /// with the pending heap as it stands at resume (or finalization).
-    stashed_decline: bool,
 }
 
-/// Resumable engine state: which event path is running plus everything
-/// its loop carries between events. Built by
-/// [`ServingEngine::build_state`], advanced by [`ServingEngine::step`],
-/// harvested by [`ServingEngine::build_report`].
-pub(crate) enum EngineState<'b> {
-    Static(StaticState),
-    Continuous(ContState<'b>),
+impl Stream {
+    /// Moves every pending submission with time `<= now_ms` into the
+    /// queue (kept sorted by `(arrival, id)`). Returns whether anything
+    /// arrived.
+    fn pull_arrivals(&mut self, now_ms: f64) -> bool {
+        let mut admitted = false;
+        while let Some((arrival_ms, id)) = self.pending.peek() {
+            if arrival_ms > now_ms {
+                break;
+            }
+            self.pending.pop();
+            self.queue.insert_sorted(Request {
+                id: id as u64,
+                workload: self.workloads[id],
+                arrival_ms,
+            });
+            admitted = true;
+        }
+        admitted
+    }
+
+    /// Logs the admission of `request` on `server` at `start_ms`.
+    fn admit(&mut self, server: usize, start_ms: f64, request: &Request) {
+        let tokens = request.workload.input_len + request.workload.output_len;
+        self.admissions.push((server, start_ms, tokens));
+    }
+
+    /// Commits a response. Closed-loop feedback: the completion
+    /// schedules the owning client's next round-robin submission after
+    /// its think time; open-loop plans schedule nothing.
+    fn retire(&mut self, response: Response) {
+        if let SubmissionPlan::Closed {
+            clients,
+            think_time_ms,
+        } = self.plan
+        {
+            let next = response.request.id as usize + clients;
+            if next < self.workloads.len() {
+                self.pending.push(response.finish_ms + think_time_ms, next);
+            }
+        }
+        self.responses.push(response);
+    }
+
+    /// Commits a `Wait(until)` decision's wake instant — the first
+    /// known arrival strictly before `until`, which may complete the
+    /// batch, else `until` itself — once the stream can name it: an
+    /// earlier arrival is known, the horizon covers `until` (no earlier
+    /// arrival can appear), or there is no horizon. Returns `false`,
+    /// changing nothing, while a later push could still lower it.
+    fn commit_wait(&mut self, until_ms: f64, horizon: Option<f64>) -> bool {
+        let earlier = self
+            .pending
+            .peek()
+            .map(|(arrival_ms, _)| arrival_ms)
+            .filter(|&arrival_ms| arrival_ms < until_ms);
+        if earlier.is_none() && horizon.is_some_and(|t| until_ms > t) {
+            return false;
+        }
+        self.wake_ms = earlier.unwrap_or(until_ms);
+        true
+    }
+}
+
+/// The event path a stream runs on, with the state only that path
+/// carries.
+enum Path<'b> {
+    /// Every backend call is one opaque busy interval.
+    Static {
+        /// When each server finishes its current dispatch.
+        free_at: Vec<f64>,
+        /// A `Wait(until)` whose wake instant a later push could still
+        /// lower (see [`Stream::commit_wait`]). Resolved on resume once
+        /// the stream can name it, and unconditionally at finalization.
+        stashed_wait_ms: Option<f64>,
+    },
+    /// Servers advance one decode token at a time.
+    Continuous {
+        runs: Vec<Run<'b>>,
+        /// `(request id, emission instant)` per token the engine
+        /// charged, in event order — the raw material of a
+        /// [`RunTrace`](crate::telemetry::RunTrace)'s decode spans.
+        /// `None` (not collected) unless the run was started by
+        /// [`ServingEngine::run_traced`], so the hot path pays nothing.
+        trace_tokens: Option<Vec<(u64, f64)>>,
+        /// An idle-decline whose wake instant depends on the next
+        /// arrival, which the stream has not revealed yet. Nothing
+        /// advanced since the decline, so resolution just re-runs the
+        /// wake bookkeeping with the pending heap as it stands at
+        /// resume (or finalization).
+        stashed_decline: bool,
+    },
+}
+
+/// Resumable engine state: one request stream plus the event path it
+/// runs on. Built by [`ServingEngine::build_state`], advanced by
+/// [`ServingEngine::step`], harvested by
+/// [`ServingEngine::build_report`].
+pub(crate) struct EngineState<'b> {
+    stream: Stream,
+    path: Path<'b>,
 }
 
 impl EngineState<'_> {
@@ -577,29 +660,19 @@ impl EngineState<'_> {
     /// Pushes must arrive in nondecreasing `arrival_ms` order for
     /// horizon-bounded stepping to be faithful to a batch replay.
     pub(crate) fn push(&mut self, workload: Workload, arrival_ms: f64) {
-        let (workloads, pending) = match self {
-            EngineState::Static(st) => (&mut st.workloads, &mut st.pending),
-            EngineState::Continuous(st) => (&mut st.workloads, &mut st.pending),
-        };
-        let id = workloads.len();
-        workloads.push(workload);
-        pending.push(arrival_ms, id);
+        let id = self.stream.workloads.len();
+        self.stream.workloads.push(workload);
+        self.stream.pending.push(arrival_ms, id);
     }
 
     /// Requests pushed so far (batch runs: the full workload list).
     pub(crate) fn pushed(&self) -> usize {
-        match self {
-            EngineState::Static(st) => st.workloads.len(),
-            EngineState::Continuous(st) => st.workloads.len(),
-        }
+        self.stream.workloads.len()
     }
 
     /// Every response committed so far, in event order.
     pub(crate) fn responses(&self) -> &[Response] {
-        match self {
-            EngineState::Static(st) => &st.responses,
-            EngineState::Continuous(st) => &st.responses,
-        }
+        &self.stream.responses
     }
 
     /// Every admission committed so far, in event order:
@@ -607,23 +680,7 @@ impl EngineState<'_> {
     /// here at the event that admitted it — possibly long before its
     /// response — so streamed K/V accounting can see in-flight claims.
     pub(crate) fn admissions(&self) -> &[(usize, f64, usize)] {
-        match self {
-            EngineState::Static(st) => &st.admissions,
-            EngineState::Continuous(st) => &st.admissions,
-        }
-    }
-
-    /// The error a batch run raises when the loop runs dry with
-    /// requests unserved.
-    pub(crate) fn starvation_error(&self) -> SimError {
-        match self {
-            EngineState::Static(_) => SimError::Service(
-                "static loop ran out of submissions with requests unserved".into(),
-            ),
-            EngineState::Continuous(_) => {
-                SimError::Service("continuous loop ran out of events with requests unserved".into())
-            }
-        }
+        &self.stream.admissions
     }
 }
 
@@ -721,22 +778,7 @@ impl<'a> ServingEngine<'a> {
         workloads: &[Workload],
         arrivals: &ArrivalProcess,
     ) -> Result<ServiceReport, SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::Service("nothing to serve".into()));
-        }
-        let plan = arrivals.plan(workloads.len())?;
-        let mut state = self.build_state(workloads.to_vec(), plan)?;
-        let n = workloads.len();
-        while state.responses().len() < n {
-            match self.step(&mut state, None)? {
-                StepOutcome::Progressed => {}
-                // With no horizon a step never blocks, so both arms mean
-                // the event loop ran dry with requests unserved.
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(state.starvation_error());
-                }
-            }
-        }
+        let state = self.run_state(workloads, arrivals, false)?;
         self.build_report(state)
     }
 
@@ -757,33 +799,60 @@ impl<'a> ServingEngine<'a> {
         workloads: &[Workload],
         arrivals: &ArrivalProcess,
     ) -> Result<(ServiceReport, crate::telemetry::RunTrace), SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::Service("nothing to serve".into()));
-        }
-        let plan = arrivals.plan(workloads.len())?;
-        let mut state = self.build_state(workloads.to_vec(), plan)?;
-        if let EngineState::Continuous(st) = &mut state {
-            st.trace_tokens = Some(Vec::new());
-        }
-        let n = workloads.len();
-        while state.responses().len() < n {
-            match self.step(&mut state, None)? {
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(state.starvation_error());
-                }
-            }
-        }
+        let mut state = self.run_state(workloads, arrivals, true)?;
         // Harvest the raw material the report constructor consumes.
-        let (busy, token_events) = match &mut state {
-            EngineState::Static(st) => (st.busy.clone(), Vec::new()),
-            EngineState::Continuous(st) => {
-                (st.busy.clone(), st.trace_tokens.take().unwrap_or_default())
-            }
+        let busy = state.stream.busy.clone();
+        let token_events = match &mut state.path {
+            Path::Continuous { trace_tokens, .. } => trace_tokens.take().unwrap_or_default(),
+            Path::Static { .. } => Vec::new(),
         };
         let report = self.build_report(state)?;
         let trace = self.assemble_trace(&report, &busy, token_events);
         Ok((report, trace))
+    }
+
+    /// Plans `workloads` under `arrivals` and drains the resulting
+    /// state, collecting per-token emissions when `traced`.
+    fn run_state(
+        &mut self,
+        workloads: &[Workload],
+        arrivals: &ArrivalProcess,
+        traced: bool,
+    ) -> Result<EngineState<'a>, SimError> {
+        if workloads.is_empty() {
+            return Err(SimError::Service("nothing to serve".into()));
+        }
+        let plan = arrivals.plan(workloads.len())?;
+        let mut state = self.build_state(workloads.to_vec(), plan, traced);
+        self.drain(&mut state)?;
+        Ok(state)
+    }
+
+    /// Steps `state` with no horizon until every pushed request is
+    /// served — the one drain loop behind [`run`](Self::run),
+    /// [`run_traced`](Self::run_traced) and
+    /// [`EngineCheckpoint::finish`](crate::EngineCheckpoint::finish).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Service`] when the event loop runs dry with
+    /// requests unserved, and propagates step errors.
+    pub(crate) fn drain(&mut self, state: &mut EngineState<'a>) -> Result<(), SimError> {
+        while state.stream.responses.len() < state.stream.workloads.len() {
+            match self.step(state, None)? {
+                StepOutcome::Progressed => {}
+                // With no horizon a step never blocks, so both arms mean
+                // the event loop ran dry with requests unserved.
+                StepOutcome::Blocked | StepOutcome::Exhausted => {
+                    let what = match state.path {
+                        Path::Static { .. } => "static loop ran out of submissions",
+                        Path::Continuous { .. } => "continuous loop ran out of events",
+                    };
+                    return Err(SimError::Service(format!("{what} with requests unserved")));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds the [`RunTrace`](crate::telemetry::RunTrace) for a
@@ -854,16 +923,18 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
-    /// Builds the resumable state for a run over `workloads` under
+    /// Builds the resumable state for a stream over `workloads` under
     /// `plan`, choosing the event path exactly as [`run`](Self::run)
-    /// describes.
+    /// describes; `traced` collects per-token emissions on the
+    /// token-boundary path. [`EngineCheckpoint`](crate::EngineCheckpoint)
+    /// starts from an empty open-loop plan and pushes requests in.
     pub(crate) fn build_state(
         &mut self,
         workloads: Vec<Workload>,
         plan: SubmissionPlan,
-    ) -> Result<EngineState<'a>, SimError> {
+        traced: bool,
+    ) -> EngineState<'a> {
         let n = workloads.len();
-        let pending = Self::initial_pending(&plan, n);
         // Every server's stepper, opened once; `None` when the scheduler is
         // static or any backend cannot batch continuously.
         let steppers: Option<Vec<_>> = if self.scheduler.is_continuous() {
@@ -871,75 +942,41 @@ impl<'a> ServingEngine<'a> {
         } else {
             None
         };
-        if let Some(steppers) = steppers {
-            let prefill_chunk = self.scheduler.prefill_chunk();
-            let runs: Vec<Run<'a>> = self
-                .servers
-                .iter()
-                .zip(steppers)
-                .map(|(&s, mut stepper)| {
-                    if prefill_chunk.is_some() {
-                        stepper.set_prefill_chunk(prefill_chunk);
-                    }
-                    Run {
-                        stepper,
-                        members: Vec::new(),
-                        memory: s.memory(),
-                        epoch_ms: 0.0,
-                        rel_ms: 0.0,
-                    }
-                })
-                .collect();
-            Ok(EngineState::Continuous(ContState {
-                workloads,
-                plan,
-                pending,
-                queue: ArrivalQueue::default(),
-                busy: vec![0.0f64; runs.len()],
-                runs,
-                responses: Vec::with_capacity(n),
-                admissions: Vec::with_capacity(n),
-                dispatches: 0,
-                peak_live_batch: 0,
-                token_gaps: Vec::new(),
-                ttfts: Vec::with_capacity(n),
-                trace_tokens: None,
-                wake_ms: 0.0,
-                stalls: 0,
-                stashed_decline: false,
-            }))
-        } else {
-            Ok(EngineState::Static(StaticState {
-                workloads,
-                plan,
-                pending,
-                queue: ArrivalQueue::default(),
+        let path = match steppers {
+            Some(steppers) => {
+                let prefill_chunk = self.scheduler.prefill_chunk();
+                let runs = self
+                    .servers
+                    .iter()
+                    .zip(steppers)
+                    .map(|(&s, mut stepper)| {
+                        if prefill_chunk.is_some() {
+                            stepper.set_prefill_chunk(prefill_chunk);
+                        }
+                        Run {
+                            stepper,
+                            members: Vec::new(),
+                            memory: s.memory(),
+                            epoch_ms: 0.0,
+                            rel_ms: 0.0,
+                        }
+                    })
+                    .collect();
+                Path::Continuous {
+                    runs,
+                    trace_tokens: traced.then(Vec::new),
+                    stashed_decline: false,
+                }
+            }
+            None => Path::Static {
                 free_at: vec![0.0f64; self.servers.len()],
-                busy: vec![0.0f64; self.servers.len()],
-                responses: Vec::with_capacity(n),
-                admissions: Vec::with_capacity(n),
-                dispatches: 0,
-                peak_live_batch: 0,
-                wake_ms: 0.0,
-                stalls: 0,
                 stashed_wait_ms: None,
-            }))
-        }
-    }
-
-    /// An empty open-loop stream: requests enter via
-    /// [`EngineState::push`] and the state is advanced with
-    /// horizon-bounded [`step`](Self::step) calls. The seam
-    /// [`EngineCheckpoint`](crate::EngineCheckpoint) wraps.
-    pub(crate) fn start_stream(&mut self) -> Result<EngineState<'a>, SimError> {
-        self.build_state(Vec::new(), SubmissionPlan::Open(Vec::new()))
-    }
-
-    /// The initial submission list: every open-loop arrival up front, or
-    /// one request per closed-loop client at t=0.
-    fn initial_pending(plan: &SubmissionPlan, n: usize) -> PendingHeap {
+            },
+        };
+        // The initial submission list: every open-loop arrival up
+        // front, or one request per closed-loop client at t=0.
         let mut pending = PendingHeap::default();
-        match plan {
+        match &plan {
             SubmissionPlan::Open(times) => {
                 for (id, &t) in times.iter().enumerate().take(n) {
                     pending.push(t, id);
@@ -951,55 +988,22 @@ impl<'a> ServingEngine<'a> {
                 }
             }
         }
-        pending
-    }
-
-    /// Moves every pending submission with time `<= now_ms` into the
-    /// queue (kept sorted by `(arrival, id)`). Returns whether anything
-    /// arrived.
-    fn pull_arrivals(
-        pending: &mut PendingHeap,
-        queue: &mut ArrivalQueue,
-        workloads: &[Workload],
-        now_ms: f64,
-    ) -> bool {
-        let mut admitted = false;
-        while let Some((arrival_ms, id)) = pending.peek() {
-            if arrival_ms > now_ms {
-                break;
-            }
-            pending.pop();
-            queue.insert_sorted(Request {
-                id: id as u64,
-                workload: workloads[id],
-                arrival_ms,
-            });
-            admitted = true;
-        }
-        admitted
-    }
-
-    /// Closed-loop feedback: a completion schedules the owning client's
-    /// next round-robin submission. Open-loop plans do nothing.
-    fn schedule_next_submission(
-        plan: &SubmissionPlan,
-        pending: &mut PendingHeap,
-        n: usize,
-        finished_id: u64,
-        finish_ms: f64,
-    ) {
-        if let SubmissionPlan::Closed {
-            clients,
-            think_time_ms,
-        } = plan
-        {
-            // The owning client thinks, then submits its next
-            // round-robin request.
-            let next = finished_id as usize + clients;
-            if next < n {
-                pending.push(finish_ms + think_time_ms, next);
-            }
-        }
+        let stream = Stream {
+            workloads,
+            plan,
+            pending,
+            queue: ArrivalQueue::default(),
+            busy: vec![0.0f64; self.servers.len()],
+            responses: Vec::with_capacity(n),
+            admissions: Vec::with_capacity(n),
+            dispatches: 0,
+            peak_live_batch: 0,
+            ttfts: Vec::with_capacity(n),
+            token_gaps: Vec::new(),
+            wake_ms: 0.0,
+            stalls: 0,
+        };
+        EngineState { stream, path }
     }
 
     /// Advances the state by one event.
@@ -1017,9 +1021,17 @@ impl<'a> ServingEngine<'a> {
         state: &mut EngineState<'a>,
         horizon: Option<f64>,
     ) -> Result<StepOutcome, SimError> {
-        match state {
-            EngineState::Static(st) => self.static_step(st, horizon),
-            EngineState::Continuous(st) => self.cont_step(st, horizon),
+        let EngineState { stream, path } = state;
+        match path {
+            Path::Static {
+                free_at,
+                stashed_wait_ms,
+            } => self.static_step(stream, free_at, stashed_wait_ms, horizon),
+            Path::Continuous {
+                runs,
+                trace_tokens,
+                stashed_decline,
+            } => self.cont_step(stream, runs, trace_tokens, stashed_decline, horizon),
         }
     }
 
@@ -1033,34 +1045,21 @@ impl<'a> ServingEngine<'a> {
     /// passes — which advances the decision instant without dispatching.
     fn static_step(
         &mut self,
-        st: &mut StaticState,
+        st: &mut Stream,
+        free_at: &mut [f64],
+        stashed_wait_ms: &mut Option<f64>,
         horizon: Option<f64>,
     ) -> Result<StepOutcome, SimError> {
-        // A stashed Wait resolves once the stream can name the wake
-        // instant: an arrival strictly before `until` is known, or the
-        // horizon covers `until` (no earlier arrival can appear), or
-        // the stream is being finalized (no horizon).
-        if let Some(until_ms) = st.stashed_wait_ms {
-            let head = st.pending.peek();
-            let resolvable = match horizon {
-                None => true,
-                Some(t) => head.is_some_and(|(a, _)| a < until_ms) || until_ms <= t,
-            };
-            if !resolvable {
+        if let Some(until_ms) = *stashed_wait_ms {
+            if !st.commit_wait(until_ms, horizon) {
                 return Ok(StepOutcome::Blocked);
             }
-            st.stashed_wait_ms = None;
-            // Wake at the requested time, or earlier if a new arrival
-            // lands first and may complete the batch.
-            st.wake_ms = match head {
-                Some((arrival_ms, _)) if arrival_ms < until_ms => arrival_ms,
-                _ => until_ms,
-            };
+            *stashed_wait_ms = None;
             return Ok(StepOutcome::Progressed);
         }
 
-        let server = (0..st.free_at.len())
-            .min_by(|&a, &b| st.free_at[a].total_cmp(&st.free_at[b]))
+        let server = (0..free_at.len())
+            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
             .ok_or_else(|| SimError::Service("backend pool is empty".into()))?;
 
         let Some(head_arrival) = st.queue.first().map(|r| r.arrival_ms) else {
@@ -1070,7 +1069,7 @@ impl<'a> ServingEngine<'a> {
             let Some((arrival_ms, id)) = st.pending.peek() else {
                 return Ok(StepOutcome::Exhausted);
             };
-            let instant = st.free_at[server].max(arrival_ms).max(st.wake_ms);
+            let instant = free_at[server].max(arrival_ms).max(st.wake_ms);
             if horizon.is_some_and(|t| instant >= t) {
                 return Ok(StepOutcome::Blocked);
             }
@@ -1082,91 +1081,71 @@ impl<'a> ServingEngine<'a> {
             });
             return Ok(StepOutcome::Progressed);
         };
-        let now = st.free_at[server].max(head_arrival).max(st.wake_ms);
+        let now = free_at[server].max(head_arrival).max(st.wake_ms);
         if horizon.is_some_and(|t| now >= t) {
             return Ok(StepOutcome::Blocked);
         }
 
         // Everything that has arrived by the dispatch instant is
         // visible to the scheduler.
-        if Self::pull_arrivals(&mut st.pending, &mut st.queue, &st.workloads, now) {
+        if st.pull_arrivals(now) {
             st.stalls = 0;
         }
 
         let servers = &self.servers;
-        let picked =
-            match self
-                .scheduler
-                .pick_batch(st.queue.as_slice(), now, &|ws: &[Workload]| {
-                    servers[server].batch_feasible(ws)
-                }) {
-                BatchDecision::Dispatch(picked) => picked,
-                BatchDecision::Wait(until_ms) => {
-                    if !until_ms.is_finite() || until_ms <= now {
-                        return Err(SimError::Service(format!(
-                            "scheduler {} asked to wait until {until_ms} ms at {now} ms",
-                            self.scheduler.name()
-                        )));
-                    }
-                    st.stalls += 1;
-                    if st.stalls > 2 {
-                        return Err(SimError::Service(format!(
-                            "scheduler {} keeps waiting without dispatching",
-                            self.scheduler.name()
-                        )));
-                    }
-                    // Wake at the requested time, or earlier if a new
-                    // arrival lands first and may complete the batch. On a
-                    // horizon-bounded stream that earlier arrival may not
-                    // be known yet — stash the decision instead of
-                    // committing a wake instant that could be wrong.
-                    let resolvable = match horizon {
-                        None => true,
-                        Some(t) => {
-                            st.pending.peek().is_some_and(|(a, _)| a < until_ms) || until_ms <= t
-                        }
-                    };
-                    if !resolvable {
-                        st.stashed_wait_ms = Some(until_ms);
-                        return Ok(StepOutcome::Blocked);
-                    }
-                    st.wake_ms = match st.pending.peek() {
-                        Some((arrival_ms, _)) if arrival_ms < until_ms => arrival_ms,
-                        _ => until_ms,
-                    };
-                    return Ok(StepOutcome::Progressed);
+        let decision = self
+            .scheduler
+            .pick_batch(st.queue.as_slice(), now, &|ws: &[Workload]| {
+                servers[server].batch_feasible(ws)
+            });
+        let mut picked = match decision {
+            BatchDecision::Dispatch(picked) => picked,
+            BatchDecision::Wait(until_ms) => {
+                if !until_ms.is_finite() || until_ms <= now {
+                    return Err(SimError::Service(format!(
+                        "scheduler {} asked to wait until {until_ms} ms at {now} ms",
+                        self.scheduler.name()
+                    )));
                 }
-            };
-        let mut picked = picked;
-        picked.sort_unstable();
-        let in_range = picked.last().is_some_and(|&i| i < st.queue.len());
-        if !in_range || picked.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SimError::Service(format!(
-                "scheduler {} picked invalid batch {picked:?} from a queue of {}",
-                self.scheduler.name(),
-                st.queue.len()
-            )));
-        }
+                st.stalls += 1;
+                if st.stalls > 2 {
+                    return Err(SimError::Service(format!(
+                        "scheduler {} keeps waiting without dispatching",
+                        self.scheduler.name()
+                    )));
+                }
+                // On a horizon-bounded stream an arrival that would
+                // wake the server earlier may not be known yet — stash
+                // the decision instead of committing a wake instant
+                // that could be wrong.
+                if !st.commit_wait(until_ms, horizon) {
+                    *stashed_wait_ms = Some(until_ms);
+                    return Ok(StepOutcome::Blocked);
+                }
+                return Ok(StepOutcome::Progressed);
+            }
+        };
+        let batch = match st.queue.take(&mut picked) {
+            Some(batch) if !batch.is_empty() => batch,
+            _ => {
+                return Err(SimError::Service(format!(
+                    "scheduler {} picked invalid batch {picked:?} from a queue of {}",
+                    self.scheduler.name(),
+                    st.queue.len()
+                )))
+            }
+        };
         st.stalls = 0;
         st.wake_ms = 0.0;
 
-        // Extract in descending index order, then restore arrival
-        // order within the batch.
-        let mut batch: Vec<Request> = picked.iter().rev().map(|&i| st.queue.remove(i)).collect();
-        batch.reverse();
         let batch_workloads: Vec<Workload> = batch.iter().map(|r| r.workload).collect();
-
         let server_id = self.server_ids[server];
         let service_ms = match self.cache.get(server_id, &batch_workloads) {
             Some(ms) => ms,
             None => {
-                // A one-element batch goes through the single-request
-                // path (bit-identical numbers to the pre-batching
-                // engine); larger batches execute as one unit.
-                let ms = match batch_workloads.as_slice() {
-                    [single] => self.servers[server].serve(*single)?.total_ms(),
-                    many => self.servers[server].serve_batch(many)?.total_ms(),
-                };
+                let ms = self.servers[server]
+                    .serve_batch(&batch_workloads)?
+                    .total_ms();
                 self.cache.insert(server_id, &batch_workloads, ms);
                 ms
             }
@@ -1178,26 +1157,24 @@ impl<'a> ServingEngine<'a> {
         // the start to the batch's newest arrival.
         let start_ms = batch.iter().map(|r| r.arrival_ms).fold(now, f64::max);
         let finish_ms = start_ms + service_ms;
-        st.free_at[server] = finish_ms;
+        free_at[server] = finish_ms;
         // lint: order-sensitive — event-ordered timeline accumulation
         st.busy[server] += service_ms;
         st.dispatches += 1;
         st.peak_live_batch = st.peak_live_batch.max(batch.len());
 
-        let n = st.workloads.len();
         for request in batch {
-            st.admissions.push((
-                server,
-                start_ms,
-                request.workload.input_len + request.workload.output_len,
-            ));
-            st.responses.push(Response {
+            st.admit(server, start_ms, &request);
+            // No intra-batch token timing exists on this path: TTFT
+            // collapses to the dispatch delay (see the
+            // `ServiceReport::p50_ttft_ms` docs).
+            st.ttfts.push(start_ms - request.arrival_ms);
+            st.retire(Response {
                 request,
                 server,
                 start_ms,
                 finish_ms,
             });
-            Self::schedule_next_submission(&st.plan, &mut st.pending, n, request.id, finish_ms);
         }
         Ok(StepOutcome::Progressed)
     }
@@ -1211,11 +1188,25 @@ impl<'a> ServingEngine<'a> {
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
 
-    /// The decline bookkeeping shared by the live decline branch and
-    /// stashed-decline resolution: pick the wake instant from the next
-    /// known arrival or the next busy boundary, and count the stall.
-    fn cont_note_decline(&self, st: &mut ContState<'_>) -> Result<(), SimError> {
-        match (st.pending.peek(), Self::cont_busy_next(&st.runs)) {
+    /// An idle server facing queued work admitted nobody: pick the wake
+    /// instant from the next known arrival or the next busy boundary,
+    /// and count the stall. On a horizon-bounded stream with no later
+    /// arrival known yet, the decline is stashed (`Blocked`) instead of
+    /// mistaking "not pushed yet" for "none coming"; a stashed decline
+    /// re-enters here on resume, when nothing else has advanced.
+    fn cont_decline(
+        &self,
+        st: &mut Stream,
+        runs: &[Run<'_>],
+        stashed_decline: &mut bool,
+        horizon: Option<f64>,
+    ) -> Result<StepOutcome, SimError> {
+        if horizon.is_some() && st.pending.is_empty() {
+            *stashed_decline = true;
+            return Ok(StepOutcome::Blocked);
+        }
+        *stashed_decline = false;
+        match (st.pending.peek(), Self::cont_busy_next(runs)) {
             (Some((arrival_ms, _)), _) => {
                 st.wake_ms = arrival_ms;
                 st.stalls += 1;
@@ -1236,7 +1227,7 @@ impl<'a> ServingEngine<'a> {
                 self.scheduler.name()
             )));
         }
-        Ok(())
+        Ok(StepOutcome::Progressed)
     }
 
     /// One event of the token-boundary loop: every server owns a
@@ -1247,27 +1238,20 @@ impl<'a> ServingEngine<'a> {
     /// token — no padding to the longest batch-mate.
     fn cont_step(
         &mut self,
-        st: &mut ContState<'a>,
+        st: &mut Stream,
+        runs: &mut [Run<'a>],
+        trace_tokens: &mut Option<Vec<(u64, f64)>>,
+        stashed_decline: &mut bool,
         horizon: Option<f64>,
     ) -> Result<StepOutcome, SimError> {
-        // A stashed decline resolves once the next arrival is known (or
-        // at finalization, when the pending heap is complete): nothing
-        // advanced since the decline, so the wake bookkeeping re-runs
-        // with the heap as it stands now.
-        if st.stashed_decline {
-            if horizon.is_some() && st.pending.is_empty() {
-                return Ok(StepOutcome::Blocked);
-            }
-            st.stashed_decline = false;
-            self.cont_note_decline(st)?;
-            return Ok(StepOutcome::Progressed);
+        if *stashed_decline {
+            return self.cont_decline(st, runs, stashed_decline, horizon);
         }
 
-        let busy_next = Self::cont_busy_next(&st.runs);
+        let busy_next = Self::cont_busy_next(runs);
         // Earliest instant the earliest-free idle server could meet
         // the earliest known request.
-        let idle_next = st
-            .runs
+        let idle_next = runs
             .iter()
             .enumerate()
             .filter(|(_, r)| r.stepper.live() == 0)
@@ -1292,7 +1276,7 @@ impl<'a> ServingEngine<'a> {
             return Ok(StepOutcome::Blocked);
         }
 
-        let run = &mut st.runs[server];
+        let run = &mut runs[server];
         if run.stepper.live() == 0 {
             // A fresh busy period may start here: re-anchor the
             // relative timeline at this instant (`now` never lies
@@ -1300,14 +1284,12 @@ impl<'a> ServingEngine<'a> {
             run.epoch_ms = now;
             run.rel_ms = 0.0;
         }
-        if Self::pull_arrivals(&mut st.pending, &mut st.queue, &st.workloads, now) {
+        if st.pull_arrivals(now) {
             st.stalls = 0;
         }
 
         // The admission seam: queued requests may join the running
         // batch at this boundary.
-        let n = st.workloads.len();
-        let run = &mut st.runs[server];
         let mut admitted_any = false;
         if !st.queue.is_empty() {
             let running: Vec<RunningMember> = run
@@ -1328,61 +1310,31 @@ impl<'a> ServingEngine<'a> {
             let mut picks =
                 self.scheduler
                     .admit(&running, st.queue.as_slice(), clock_ms, &mut probe);
-            picks.sort_unstable();
-            let in_range = picks.iter().all(|&i| i < st.queue.len());
-            if !in_range || picks.windows(2).any(|w| w[0] == w[1]) {
+            let Some(joining) = st.queue.take(&mut picks) else {
                 return Err(SimError::Service(format!(
                     "scheduler {} admitted invalid indices {picks:?} from a queue of {}",
                     self.scheduler.name(),
                     st.queue.len()
                 )));
-            }
-            if !picks.is_empty() {
+            };
+            if !joining.is_empty() {
                 admitted_any = true;
                 st.stalls = 0;
                 st.wake_ms = 0.0;
-                let mut joining: Vec<Request> =
-                    picks.iter().rev().map(|&i| st.queue.remove(i)).collect();
-                joining.reverse();
                 for request in joining {
                     // Prefills run back to back: each member starts
                     // (and is no longer "waiting") when its own
                     // prefill begins.
                     let start_ms = run.clock_ms();
-                    st.admissions.push((
-                        server,
-                        start_ms,
-                        request.workload.input_len + request.workload.output_len,
-                    ));
+                    st.admit(server, start_ms, &request);
                     let ev = run.stepper.admit(request.id, request.workload)?;
                     // lint: order-sensitive — event-ordered timeline accumulation
                     run.rel_ms += ev.ms;
                     // lint: order-sensitive — event-ordered timeline accumulation
                     st.busy[server] += ev.ms;
                     st.dispatches += 1;
-                    if ev.finished.contains(&request.id) {
-                        // Retired at admission: the prefill emitted
-                        // everything, so its completion is the first
-                        // (and last) token instant.
-                        let finish_ms = run.clock_ms();
-                        st.ttfts.push(finish_ms - request.arrival_ms);
-                        if let Some(tokens) = st.trace_tokens.as_mut() {
-                            tokens.push((request.id, finish_ms));
-                        }
-                        st.responses.push(Response {
-                            request,
-                            server,
-                            start_ms,
-                            finish_ms,
-                        });
-                        Self::schedule_next_submission(
-                            &st.plan,
-                            &mut st.pending,
-                            n,
-                            request.id,
-                            finish_ms,
-                        );
-                    } else if ev.prefilling.contains(&request.id) {
+                    let finished = ev.finished.contains(&request.id);
+                    if !finished && ev.prefilling.contains(&request.id) {
                         // A chunked admission: no token yet, the
                         // remaining chunks interleave with decode.
                         run.members.push(Active {
@@ -1391,14 +1343,25 @@ impl<'a> ServingEngine<'a> {
                             tokens_done: 0,
                             last_emit_ms: 0.0,
                         });
+                        continue;
+                    }
+                    // A whole-prefill admission emits the first token
+                    // at its completion.
+                    let first_ms = run.clock_ms();
+                    st.ttfts.push(first_ms - request.arrival_ms);
+                    if let Some(tokens) = trace_tokens.as_mut() {
+                        tokens.push((request.id, first_ms));
+                    }
+                    if finished {
+                        // Retired at admission: the prefill emitted
+                        // everything.
+                        st.retire(Response {
+                            request,
+                            server,
+                            start_ms,
+                            finish_ms: first_ms,
+                        });
                     } else {
-                        // A whole-prefill admission emits the first
-                        // token at its completion.
-                        let first_ms = run.clock_ms();
-                        st.ttfts.push(first_ms - request.arrival_ms);
-                        if let Some(tokens) = st.trace_tokens.as_mut() {
-                            tokens.push((request.id, first_ms));
-                        }
                         run.members.push(Active {
                             request,
                             start_ms,
@@ -1411,7 +1374,6 @@ impl<'a> ServingEngine<'a> {
             }
         }
 
-        let run = &mut st.runs[server];
         if run.stepper.live() > 0 {
             // One step: a prefill chunk if one is in flight, then a
             // decode pass; exits happen the moment a member has its
@@ -1435,7 +1397,7 @@ impl<'a> ServingEngine<'a> {
                     // first token lands here, not at admission.
                     st.ttfts.push(finish_ms - m.request.arrival_ms);
                 }
-                if let Some(tokens) = st.trace_tokens.as_mut() {
+                if let Some(tokens) = trace_tokens.as_mut() {
                     tokens.push((m.request.id, finish_ms));
                 }
                 m.tokens_done += 1;
@@ -1450,19 +1412,12 @@ impl<'a> ServingEngine<'a> {
                         SimError::Service(format!("stepper finished unknown member {id}"))
                     })?;
                 let m = run.members.remove(pos);
-                st.responses.push(Response {
+                st.retire(Response {
                     request: m.request,
                     server,
                     start_ms: m.start_ms,
                     finish_ms,
                 });
-                Self::schedule_next_submission(
-                    &st.plan,
-                    &mut st.pending,
-                    n,
-                    m.request.id,
-                    finish_ms,
-                );
             }
             st.stalls = 0;
         } else if !st.queue.is_empty() && !admitted_any {
@@ -1470,82 +1425,37 @@ impl<'a> ServingEngine<'a> {
             // may be holding out for a future arrival or for another
             // server's token boundary (retirements and closed-loop
             // completions both change the picture). Only a fully idle
-            // pool with neither is a hard stall. On a horizon-bounded
-            // stream the wake instant depends on the next arrival, so
-            // an empty pending heap stashes the decline instead of
-            // mistaking "not pushed yet" for "none coming".
-            if horizon.is_some() && st.pending.is_empty() {
-                st.stashed_decline = true;
-                return Ok(StepOutcome::Blocked);
-            }
-            self.cont_note_decline(st)?;
+            // pool with neither is a hard stall.
+            return self.cont_decline(st, runs, stashed_decline, horizon);
         }
         Ok(StepOutcome::Progressed)
     }
 
     /// Consumes a finished state into its [`ServiceReport`].
     pub(crate) fn build_report(&self, state: EngineState<'_>) -> Result<ServiceReport, SimError> {
-        match state {
-            EngineState::Static(st) => {
-                // The static path models no intra-batch token timing:
-                // TTFT collapses to the dispatch delay (see the
-                // `ServiceReport::p50_ttft_ms` docs).
-                let ttfts: Vec<f64> = st.responses.iter().map(Response::wait_ms).collect();
-                self.report(
-                    &st.workloads,
-                    st.responses,
-                    &st.busy,
-                    st.dispatches,
-                    st.peak_live_batch,
-                    ttfts,
-                    Vec::new(),
-                    None,
-                )
+        // Pool-wide paged-K/V counters, when any stepper pages.
+        let paging = match &state.path {
+            Path::Continuous { runs, .. } => {
+                stats::sum_paging(runs.iter().filter_map(|run| run.stepper.kv_stats()))
             }
-            EngineState::Continuous(st) => {
-                // Pool-wide paged-K/V counters, when any stepper pages.
-                let mut paging: Option<PagingStats> = None;
-                for run in &st.runs {
-                    if let Some(stats) = run.stepper.kv_stats() {
-                        match paging.as_mut() {
-                            Some(merged) => merged.merge(&stats),
-                            None => paging = Some(stats),
-                        }
-                    }
-                }
-                self.report(
-                    &st.workloads,
-                    st.responses,
-                    &st.busy,
-                    st.dispatches,
-                    st.peak_live_batch,
-                    st.ttfts,
-                    st.token_gaps,
-                    paging,
-                )
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        workloads: &[Workload],
-        responses: Vec<Response>,
-        busy: &[f64],
-        dispatches: usize,
-        peak_live_batch: usize,
-        ttfts: Vec<f64>,
-        token_gaps: Vec<f64>,
-        paging: Option<PagingStats>,
-    ) -> Result<ServiceReport, SimError> {
+            Path::Static { .. } => None,
+        };
+        let Stream {
+            workloads,
+            responses,
+            busy,
+            dispatches,
+            peak_live_batch,
+            ttfts: mut sorted_ttfts,
+            token_gaps: mut sorted_token_gaps,
+            ..
+        } = state.stream;
         let makespan_ms = responses.iter().map(|r| r.finish_ms).fold(0.0f64, f64::max);
 
         let mut sorted_sojourns: Vec<f64> = responses.iter().map(Response::sojourn_ms).collect();
         sorted_sojourns.sort_by(f64::total_cmp);
-        let p50_sojourn_ms = stats::percentile(&sorted_sojourns, 0.50)?;
-        let p95_sojourn_ms = stats::percentile(&sorted_sojourns, 0.95)?;
-        let p99_sojourn_ms = stats::percentile(&sorted_sojourns, 0.99)?;
+        let (p50_sojourn_ms, p95_sojourn_ms, p99_sojourn_ms) =
+            stats::tail_percentiles(&sorted_sojourns)?;
 
         // Waiting-queue depth over time: +1 at arrival, -1 at start.
         // Departures sort before arrivals at equal timestamps, so a
@@ -1564,29 +1474,10 @@ impl<'a> ServingEngine<'a> {
             prev_t = t;
         }
 
-        let mut sorted_token_gaps = token_gaps;
         sorted_token_gaps.sort_by(f64::total_cmp);
-        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = if sorted_token_gaps.is_empty() {
-            (0.0, 0.0, 0.0)
-        } else {
-            (
-                stats::percentile(&sorted_token_gaps, 0.50)?,
-                stats::percentile(&sorted_token_gaps, 0.95)?,
-                stats::percentile(&sorted_token_gaps, 0.99)?,
-            )
-        };
-
-        let mut sorted_ttfts = ttfts;
+        let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = stats::tail_percentiles(&sorted_token_gaps)?;
         sorted_ttfts.sort_by(f64::total_cmp);
-        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = if sorted_ttfts.is_empty() {
-            (0.0, 0.0, 0.0)
-        } else {
-            (
-                stats::percentile(&sorted_ttfts, 0.50)?,
-                stats::percentile(&sorted_ttfts, 0.95)?,
-                stats::percentile(&sorted_ttfts, 0.99)?,
-            )
-        };
+        let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = stats::tail_percentiles(&sorted_ttfts)?;
 
         // Pool energy: nominal power x busy time per server; servers
         // without a power model (the TPU) contribute nothing.

@@ -3,7 +3,7 @@
 //! Promoted out of `examples/service_sim.rs` so every consumer (the
 //! engine, experiments, examples) shares one audited implementation.
 
-use dfx_sim::SimError;
+use dfx_sim::{PagingStats, SimError};
 use rand::RngCore;
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -88,6 +88,33 @@ pub fn merge_sorted(groups: &[&[f64]]) -> Result<Vec<f64>, SimError> {
 /// pool, or `p` outside `[0, 1]`.
 pub fn merged_percentile(groups: &[&[f64]], p: f64) -> Result<f64, SimError> {
     percentile(&merge_sorted(groups)?, p)
+}
+
+/// Nearest-rank `(p50, p95, p99)` of an ascending-sorted sample; all
+/// zero for an empty one (e.g. inter-token gaps under a static
+/// discipline).
+///
+/// # Errors
+///
+/// Returns [`SimError::Service`] for input that is not ascending.
+pub(crate) fn tail_percentiles(sorted: &[f64]) -> Result<(f64, f64, f64), SimError> {
+    if sorted.is_empty() {
+        return Ok((0.0, 0.0, 0.0));
+    }
+    Ok((
+        percentile(sorted, 0.50)?,
+        percentile(sorted, 0.95)?,
+        percentile(sorted, 0.99)?,
+    ))
+}
+
+/// Sums paged-K/V counters with [`PagingStats::merge`]; `None` when
+/// nothing paged.
+pub(crate) fn sum_paging(stats: impl IntoIterator<Item = PagingStats>) -> Option<PagingStats> {
+    stats.into_iter().reduce(|mut total, s| {
+        total.merge(&s);
+        total
+    })
 }
 
 /// One exponential inter-arrival gap of a Poisson process with the given

@@ -23,6 +23,9 @@
 //! 7. **Causal snapshots** — the replica state a placement sees at an
 //!    arrival does not depend on any later assignment, and it never
 //!    reports a completion the final history does not contain.
+//! 8. **Pool checkpoints** — an `EngineCheckpoint` over a multi-server
+//!    pool, advanced through mid-gap horizons, reports exactly what a
+//!    batch run over the same pool reports, errors included.
 //!
 //! Plus the session-affinity prefix-hit regression: with a shared
 //! system prompt on paged replicas, pinning a session strictly
@@ -36,9 +39,9 @@
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
     AdmissionProbe, ArrivalProcess, Backend, Batching, ClusterReport, ClusterRouter,
-    ContinuousBatching, ContinuousStepper, Fifo, LeastKvLoaded, LeastOutstanding, Placement,
-    ReplicaSnapshot, Request, RoundRobin, RoutedRequest, RunReport, RunningMember, Scheduler,
-    ServingEngine, SessionAffinity, StepEvent,
+    ContinuousBatching, ContinuousStepper, EngineCheckpoint, Fifo, LeastKvLoaded, LeastOutstanding,
+    Placement, ReplicaSnapshot, Request, RoundRobin, RoutedRequest, RunReport, RunningMember,
+    Scheduler, ServiceReport, ServingEngine, SessionAffinity, ShortestJobFirst, StepEvent,
 };
 use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 use proptest::prelude::*;
@@ -551,6 +554,66 @@ proptest! {
             .unwrap();
         prop_assert_eq!(report.responses.len(), stream.len());
         replicas_match_fresh_substream_runs(&report, &servers, hold)?;
+    }
+
+    /// A multi-server checkpoint streamed through horizons reports what
+    /// a batch run over the same pool reports. Before each push the
+    /// stream is advanced to a random instant inside the gap since the
+    /// previous arrival, its K/V load read there, and then advanced to
+    /// the arrival itself. A final request at `release_ms` releases any
+    /// `HoldIdle` hold. Both sides end in the same `Ok` report or the
+    /// same error.
+    #[test]
+    fn pool_checkpoint_matches_a_batch_run(
+        workloads in arb_workloads(),
+        gaps in proptest::collection::vec((0.0f64..30.0, 0.0f64..1.0), 32),
+        pool_size in 1usize..4,
+        (kind, max_batch, wait_ms) in (0usize..5, 1usize..5, 0.5f64..20.0),
+    ) {
+        let backends: Vec<UnitBackend> = (0..pool_size).map(|_| UnitBackend).collect();
+        let pool: Vec<&dyn Backend> = backends.iter().map(|b| b as &dyn Backend).collect();
+        let mut times: Vec<f64> = gaps[..workloads.len()]
+            .iter()
+            .scan(0.0, |t, &(gap, _)| {
+                *t += gap;
+                Some(*t)
+            })
+            .collect();
+        let release_ms = times.last().copied().unwrap_or(0.0) + 1.0;
+        let mut stream = workloads.clone();
+        stream.push(Workload::new(1, 1));
+        times.push(release_ms);
+        let make = || -> Box<dyn Scheduler> {
+            match kind {
+                0 => Box::new(Fifo),
+                1 => Box::new(ShortestJobFirst::with_aging(wait_ms)),
+                2 => Box::new(Batching::new(max_batch, wait_ms)),
+                3 => Box::new(ContinuousBatching::new(max_batch)),
+                _ => Box::new(HoldIdle {
+                    inner: ContinuousBatching::new(max_batch),
+                    hold_ms: wait_ms,
+                    release_ms,
+                }),
+            }
+        };
+        let streamed = (|| -> Result<ServiceReport, SimError> {
+            let mut ck = EngineCheckpoint::new(pool.clone(), make())?;
+            let mut prev_ms = 0.0;
+            for (i, (&w, &t)) in stream.iter().zip(&times).enumerate() {
+                let mid_ms = prev_ms + gaps[i % gaps.len()].1 * (t - prev_ms);
+                ck.advance_to(mid_ms)?;
+                ck.kv_load_at(mid_ms);
+                ck.advance_to(t)?;
+                ck.push(w, t);
+                prev_ms = t;
+            }
+            ck.finish()
+        })();
+        let batch = ServingEngine::pool(pool.clone())
+            .unwrap()
+            .with_scheduler(make())
+            .run(&stream, &ArrivalProcess::Trace(times.clone()));
+        prop_assert_eq!(streamed, batch);
     }
 }
 
